@@ -13,7 +13,7 @@ from collections.abc import Hashable, Mapping, Sequence
 import numpy as np
 
 from repro.sim.circuit import Circuit, Operation
-from repro.sim.gates import gate_unitary
+from repro.sim.gates import check_distinct_qubits, gate_unitary
 from repro.sim.noise import NoiseChannel
 
 Qubit = Hashable
@@ -82,6 +82,7 @@ class DensityMatrixSimulator:
     def apply_gate(
         self, gate: str, qubits: Sequence[Qubit], theta: float | None = None
     ) -> None:
+        check_distinct_qubits(gate, qubits)
         matrix = gate_unitary(gate, theta)
         full = self._expand(matrix, [self._index[q] for q in qubits])
         self._rho = full @ self._rho @ full.conj().T

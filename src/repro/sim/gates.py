@@ -15,6 +15,7 @@ sparse simulator exact and fast for them.
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,3 +248,19 @@ def is_permutation_gate(name: str) -> bool:
     """True if ``name`` is a basis-state permutation gate."""
     key = name.upper()
     return key in GATES and GATES[key].is_permutation
+
+
+def check_distinct_qubits(name: str, qubits: Sequence[Hashable]) -> None:
+    """Raise if a gate names the same qubit twice.
+
+    A repeated qubit turns a multi-qubit unitary into a non-unitary map (for
+    example ``CX(a, a)``), so every simulator rejects it up front.
+
+    Raises:
+        ValueError: naming the gate and the first repeated qubit.
+    """
+    seen: set[Hashable] = set()
+    for q in qubits:
+        if q in seen:
+            raise ValueError(f"gate {name.upper()} acts on repeated qubit {q!r}")
+        seen.add(q)

@@ -1,34 +1,62 @@
-"""Sparse basis-state simulator.
+"""Sparse basis-state simulator over a bit matrix.
 
-The state is a dictionary mapping computational basis assignments (tuples of
-bits over a fixed qubit ordering) to complex amplitudes.  Permutation gates
-(X, CX, CCX, SWAP, CSWAP, ...) never increase the number of terms;
-superposition-creating gates (H, RY) at most double it.  A QRAM query over an
-address register in an ``m``-branch superposition therefore stays at ``m``
-terms throughout the routing circuit, no matter how many router qubits exist —
-this is exactly the "limited entanglement among different paths" property the
-paper relies on for noise resilience, reused here for exact simulation.
+The state is the list of computational basis terms with nonzero amplitude,
+held as three arrays:
+
+* a ``uint8`` bit matrix with one row per term and one *physical* column per
+  qubit, stored column-major so each qubit's bits are one contiguous array;
+* a ``complex128`` amplitude vector aligned with the rows; and
+* a map from qubit label to physical column.  Logical qubit order (the order
+  of :attr:`SparseState.qubits` and of every basis tuple) never changes.
+
+Permutation gates (X, CX, CCX, SWAP, CSWAP, ...) never increase the number of
+terms; superposition-creating gates (H, RY) at most double it.  A QRAM query
+over an address register in an ``m``-branch superposition therefore stays at
+``m`` terms throughout the routing circuit, no matter how many router qubits
+exist — this is exactly the "limited entanglement among different paths"
+property the paper relies on for noise resilience, reused here for exact
+simulation.
+
+Every gate acts on whole columns at once:
+
+* SWAP is a relabel: it exchanges two entries of the column map in O(1) and
+  touches no term.
+* X, CX, CCX, CSWAP and ANTI_CSWAP are masked XORs over columns.
+* Z, S and CZ select a sign or phase per term.  T and RZ multiply term by
+  term in Python scalars, so their rounding matches scalar code exactly.
+* H, Y and RY emit each term's successors (new bit 0, then 1) and merge equal
+  rows by first occurrence, so the term order and the summation order of
+  every amplitude are those of a dict rebuilt term by term (the reference
+  simulator in ``tests/oracles/sparse_dict.py``).
+
+Terms with ``|amplitude| <= 1e-12`` are pruned after every gate that can
+produce one (the merging gates and the single-qubit phases) and at the end of
+:meth:`SparseState.prepare_superposition`.  No other operation creates such a
+term, and permutation gates and CZ leave every magnitude unchanged, so they
+skip the pruning pass.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.sim.circuit import Circuit, Operation
-from repro.sim.gates import GATES
+from repro.sim.gates import GATES, check_distinct_qubits
 
 Qubit = Hashable
 Basis = tuple[int, ...]
 
 _ATOL = 1e-12
+#: Physical columns allocated up front; the bit matrix doubles when full.
+_INITIAL_COLUMNS = 8
 
 
 class SparseState:
-    """A pure state stored as a sparse map from basis states to amplitudes.
+    """A pure state stored as a sparse list of basis states and amplitudes.
 
     Args:
         qubits: ordered list of qubit labels.  Additional qubits can be added
@@ -37,8 +65,9 @@ class SparseState:
 
     def __init__(self, qubits: Sequence[Qubit] = ()) -> None:
         self._qubits: list[Qubit] = []
-        self._index: dict[Qubit, int] = {}
-        self._amplitudes: dict[Basis, complex] = {(): 1.0 + 0.0j}
+        self._column: dict[Qubit, int] = {}
+        self._bits = np.zeros((1, _INITIAL_COLUMNS), dtype=np.uint8, order="F")
+        self._amps = np.ones(1, dtype=complex)
         self.classical: dict[str, int] = {}
         for q in qubits:
             self.add_qubit(q)
@@ -56,41 +85,55 @@ class SparseState:
     @property
     def num_terms(self) -> int:
         """Number of nonzero basis states (sparsity)."""
-        return len(self._amplitudes)
+        return self._amps.shape[0]
 
     def add_qubit(self, qubit: Qubit, value: int = 0) -> None:
         """Add a new qubit initialised to ``|value>``."""
-        if qubit in self._index:
+        if qubit in self._column:
             raise ValueError(f"qubit {qubit!r} already exists")
         if value not in (0, 1):
             raise ValueError("qubit value must be 0 or 1")
-        self._index[qubit] = len(self._qubits)
+        column = len(self._qubits)
+        if column == self._bits.shape[1]:
+            grown = np.zeros(
+                (self._bits.shape[0], 2 * column), dtype=np.uint8, order="F"
+            )
+            grown[:, :column] = self._bits
+            self._bits = grown
+        self._bits[:, column] = value
+        self._column[qubit] = column
         self._qubits.append(qubit)
-        self._amplitudes = {
-            basis + (value,): amp for basis, amp in self._amplitudes.items()
-        }
 
     def ensure_qubits(self, qubits: Iterable[Qubit]) -> None:
         """Add any of ``qubits`` that do not exist yet (initialised to |0>)."""
         for q in qubits:
-            if q not in self._index:
+            if q not in self._column:
                 self.add_qubit(q)
 
     def amplitudes(self) -> dict[Basis, complex]:
         """Copy of the amplitude map."""
-        return dict(self._amplitudes)
+        return dict(self.items())
 
     def items(self) -> Iterable[tuple[Basis, complex]]:
-        return self._amplitudes.items()
+        """``(basis, amplitude)`` pairs; bases follow :attr:`qubits` order."""
+        rows = self._bits[:, self._columns(self._qubits)].tolist()
+        return list(zip(map(tuple, rows), self._amps.tolist()))
 
     def norm(self) -> float:
         """2-norm of the state (should always be ~1)."""
-        return math.sqrt(sum(abs(a) ** 2 for a in self._amplitudes.values()))
+        return float(np.linalg.norm(self._amps))
+
+    def _columns(self, qubits: Iterable[Qubit]) -> list[int]:
+        return [self._column[q] for q in qubits]
+
+    def _set_terms(self, bits: np.ndarray, amps: np.ndarray) -> None:
+        self._bits = np.asfortranarray(bits)
+        self._amps = amps
 
     def _prune(self) -> None:
-        self._amplitudes = {
-            b: a for b, a in self._amplitudes.items() if abs(a) > _ATOL
-        }
+        keep = np.abs(self._amps) > _ATOL
+        if not keep.all():
+            self._set_terms(self._bits[keep], self._amps[keep])
 
     # ------------------------------------------------------------ preparation
     def set_register(self, qubits: Sequence[Qubit], value: int) -> None:
@@ -121,23 +164,23 @@ class SparseState:
         norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
         if norm < _ATOL:
             raise ValueError("cannot prepare the zero vector")
-        idx = [self._index[q] for q in qubits]
-        for basis in self._amplitudes:
-            for i in idx:
-                if basis[i] != 0:
-                    raise ValueError("register must be |0...0> before preparation")
-        new_amps: dict[Basis, complex] = {}
+        columns = self._columns(qubits)
+        if self._bits[:, columns].any():
+            raise ValueError("register must be |0...0> before preparation")
         width = len(qubits)
-        for basis, amp in self._amplitudes.items():
-            for value, a in amplitudes.items():
-                if abs(a) < _ATOL:
-                    continue
-                bits = _int_to_bits(value, width)
-                new_basis = list(basis)
-                for i, bit in zip(idx, bits):
-                    new_basis[i] = bit
-                new_amps[tuple(new_basis)] = amp * (a / norm)
-        self._amplitudes = new_amps
+        branches = [
+            (_int_to_bits(value, width), a / norm)
+            for value, a in amplitudes.items()
+            if abs(a) >= _ATOL
+        ]
+        # Term-major, branch-minor: each old term fans out over the branches.
+        bits = np.repeat(self._bits, len(branches), axis=0)
+        register = np.array([b for b, _ in branches], dtype=np.uint8)
+        register = register.reshape(len(branches), width)
+        bits[:, columns] = np.tile(register, (self.num_terms, 1))
+        amps = [amp * factor for amp in self._amps.tolist() for _, factor in branches]
+        self._set_terms(bits, np.array(amps, dtype=complex).reshape(-1))
+        self._prune()
 
     # -------------------------------------------------------------- gate application
     def apply_gate(
@@ -148,94 +191,89 @@ class SparseState:
     ) -> None:
         """Apply a gate by name to the given qubits."""
         key = gate.upper()
-        if key not in GATES:
+        spec = GATES.get(key)
+        if spec is None:
             raise ValueError(f"unknown gate {gate!r}")
-        spec = GATES[key]
         if len(qubits) != spec.n_qubits:
             raise ValueError(
                 f"gate {key} expects {spec.n_qubits} qubits, got {len(qubits)}"
             )
+        if spec.n_qubits > 1:
+            check_distinct_qubits(key, qubits)
         self.ensure_qubits(qubits)
-        idx = [self._index[q] for q in qubits]
 
-        if spec.is_permutation:
-            self._apply_permutation(spec, idx)
+        if key == "SWAP":
+            a, b = qubits
+            self._column[a], self._column[b] = self._column[b], self._column[a]
+            return
+        columns = self._columns(qubits)
+        permutation = _PERMUTATIONS.get(key)
+        if permutation is not None:
+            permutation(self._bits, *columns)
         elif key == "H":
-            self._apply_single_qubit_matrix(_H_MATRIX, idx[0])
+            self._apply_single_qubit_matrix(_H_MATRIX, columns[0])
         elif key == "Z":
-            self._apply_phase(idx[0], on_one=-1.0 + 0j)
+            self._apply_sign(self._bits[:, columns[0]], -1.0)
         elif key == "S":
-            self._apply_phase(idx[0], on_one=1j)
+            self._apply_sign(self._bits[:, columns[0]], 1j)
         elif key == "T":
-            self._apply_phase(idx[0], on_one=cmath.exp(1j * math.pi / 4))
+            self._apply_diag(columns[0], 1.0 + 0j, cmath.exp(1j * math.pi / 4))
         elif key == "Y":
-            self._apply_single_qubit_matrix(
-                np.array([[0, -1j], [1j, 0]], dtype=complex), idx[0]
-            )
+            self._apply_single_qubit_matrix(_Y_MATRIX, columns[0])
         elif key == "RY":
             if theta is None:
                 raise ValueError("RY requires theta")
             c, s = math.cos(theta / 2), math.sin(theta / 2)
             self._apply_single_qubit_matrix(
-                np.array([[c, -s], [s, c]], dtype=complex), idx[0]
+                np.array([[c, -s], [s, c]], dtype=complex), columns[0]
             )
         elif key == "RZ":
             if theta is None:
                 raise ValueError("RZ requires theta")
             self._apply_diag(
-                idx[0], cmath.exp(-1j * theta / 2), cmath.exp(1j * theta / 2)
+                columns[0], cmath.exp(-1j * theta / 2), cmath.exp(1j * theta / 2)
             )
         elif key == "CZ":
-            self._apply_cz(idx[0], idx[1])
+            self._apply_sign(
+                self._bits[:, columns[0]] & self._bits[:, columns[1]], -1.0
+            )
         else:  # pragma: no cover - defensive, all gates covered above
             raise ValueError(f"gate {key} not supported by SparseState")
 
-    def _apply_permutation(self, spec, idx: list[int]) -> None:
-        new_amps: dict[Basis, complex] = {}
-        for basis, amp in self._amplitudes.items():
-            bits = tuple(basis[i] for i in idx)
-            new_bits = spec.permute_bits(bits)
-            if new_bits == bits:
-                new_amps[basis] = new_amps.get(basis, 0.0) + amp
-                continue
-            new_basis = list(basis)
-            for i, bit in zip(idx, new_bits):
-                new_basis[i] = bit
-            key = tuple(new_basis)
-            new_amps[key] = new_amps.get(key, 0.0) + amp
-        self._amplitudes = new_amps
+    def _apply_single_qubit_matrix(self, matrix: np.ndarray, column: int) -> None:
+        bit = self._bits[:, column]
+        # coeff[i, new_bit] = matrix[new_bit, bit_i]; nonzero entries in
+        # row-major order are the successors in term order, new bit 0 first.
+        coeff = matrix.T[bit]
+        source, new_bit = np.nonzero(np.abs(coeff) >= _ATOL)
+        contributions = coeff[source, new_bit] * self._amps[source]
+        rows = self._bits[source]
+        rows[:, column] = new_bit
+        # Merge equal rows, numbering the merged terms by first occurrence.
+        keys = _row_keys(rows[:, : len(self._qubits)])
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0])
+        amps = np.zeros(order.shape[0], dtype=complex)
+        np.add.at(amps, rank[inverse.reshape(-1)], contributions)
+        self._set_terms(rows[first[order]], amps)
         self._prune()
 
-    def _apply_single_qubit_matrix(self, matrix: np.ndarray, index: int) -> None:
-        new_amps: dict[Basis, complex] = {}
-        for basis, amp in self._amplitudes.items():
-            bit = basis[index]
-            for new_bit in (0, 1):
-                coeff = matrix[new_bit, bit]
-                if abs(coeff) < _ATOL:
-                    continue
-                new_basis = list(basis)
-                new_basis[index] = new_bit
-                key = tuple(new_basis)
-                new_amps[key] = new_amps.get(key, 0.0) + coeff * amp
-        self._amplitudes = new_amps
+    def _apply_sign(self, mask: np.ndarray, factor: complex) -> None:
+        """Multiply the amplitudes of the terms where ``mask`` is set."""
+        self._amps = np.where(mask.view(bool), self._amps * factor, self._amps)
+
+    def _apply_diag(self, column: int, on_zero: complex, on_one: complex) -> None:
+        bits = self._bits[:, column].tolist()
+        self._amps = np.array(
+            [
+                amp * (on_one if bit else on_zero)
+                for amp, bit in zip(self._amps.tolist(), bits)
+            ],
+            dtype=complex,
+        ).reshape(-1)
         self._prune()
-
-    def _apply_phase(self, index: int, on_one: complex) -> None:
-        self._apply_diag(index, 1.0 + 0j, on_one)
-
-    def _apply_diag(self, index: int, on_zero: complex, on_one: complex) -> None:
-        self._amplitudes = {
-            basis: amp * (on_one if basis[index] else on_zero)
-            for basis, amp in self._amplitudes.items()
-        }
-        self._prune()
-
-    def _apply_cz(self, control: int, target: int) -> None:
-        self._amplitudes = {
-            basis: (-amp if basis[control] and basis[target] else amp)
-            for basis, amp in self._amplitudes.items()
-        }
 
     # ---------------------------------------------------------------- circuits
     def run(self, circuit: Circuit) -> None:
@@ -254,21 +292,19 @@ class SparseState:
     # ------------------------------------------------------------- inspection
     def probability(self, assignment: Mapping[Qubit, int]) -> float:
         """Total probability of all basis states consistent with ``assignment``."""
-        idx = [(self._index[q], v) for q, v in assignment.items()]
-        total = 0.0
-        for basis, amp in self._amplitudes.items():
-            if all(basis[i] == v for i, v in idx):
-                total += abs(amp) ** 2
-        return total
+        match = np.ones(self.num_terms, dtype=bool)
+        for q, v in assignment.items():
+            match &= self._bits[:, self._column[q]] == v
+        return sum(abs(amp) ** 2 for amp in self._amps[match].tolist())
 
     def marginal_distribution(
         self, qubits: Sequence[Qubit]
     ) -> dict[int, float]:
         """Probability distribution over a register (MSB first)."""
-        idx = [self._index[q] for q in qubits]
+        rows = self._bits[:, self._columns(qubits)].tolist()
         dist: dict[int, float] = {}
-        for basis, amp in self._amplitudes.items():
-            value = _bits_to_int(tuple(basis[i] for i in idx))
+        for row, amp in zip(rows, self._amps.tolist()):
+            value = _bits_to_int(row)
             dist[value] = dist.get(value, 0.0) + abs(amp) ** 2
         return dist
 
@@ -278,27 +314,30 @@ class SparseState:
         The register may be in superposition and the *rest* of the system may
         also be in superposition, as long as the overall state factorises as
         ``|register> (x) |rest>``.  The returned amplitudes are normalised and
-        carry an overall phase convention fixed by the largest-amplitude
-        branch of the rest.
+        carry the phase of the reference branch of the rest: the branch with
+        the largest total weight, ties going to the branch of the earliest
+        term in :meth:`items` order.
 
         Raises:
             ValueError: if the register is genuinely entangled with the rest.
         """
-        idx = [self._index[q] for q in qubits]
-        others = [i for i in range(len(self._qubits)) if i not in idx]
+        columns = self._columns(qubits)
+        others = sorted(set(range(len(self._qubits))) - set(columns))
+        regs = [_bits_to_int(row) for row in self._bits[:, columns].tolist()]
+        # Rest branches keyed by their packed bits (equal iff the bits are).
+        rests = _row_keys(self._bits[:, others]).tolist()
 
         # Group amplitudes into a (register value, rest value) matrix.
-        matrix: dict[tuple[int, Basis], complex] = {}
-        register_values: set[int] = set()
-        rest_values: set[Basis] = set()
-        for basis, amp in self._amplitudes.items():
-            reg = _bits_to_int(tuple(basis[i] for i in idx))
-            rest = tuple(basis[i] for i in others)
+        matrix: dict[tuple[int, bytes], complex] = {}
+        register_values: dict[int, None] = {}
+        rest_values: dict[bytes, None] = {}
+        for reg, rest, amp in zip(regs, rests, self._amps.tolist()):
             matrix[(reg, rest)] = matrix.get((reg, rest), 0.0) + amp
-            register_values.add(reg)
-            rest_values.add(rest)
+            register_values[reg] = None
+            rest_values[rest] = None
 
-        # Reference rest branch: the one with the largest total weight.
+        # Reference rest branch: the one with the largest total weight; ties
+        # go to the branch of the earliest term.
         reference = max(
             rest_values,
             key=lambda rest: sum(
@@ -334,17 +373,12 @@ class SparseState:
 
     def qubit_values(self) -> dict[Qubit, int] | None:
         """If every qubit has a definite value, return the assignment, else None."""
-        if len(self._amplitudes) != 1:
-            # Qubits may still be definite across branches.
-            values: dict[Qubit, int] = {}
-            for i, q in enumerate(self._qubits):
-                vals = {b[i] for b in self._amplitudes}
-                if len(vals) != 1:
-                    return None
-                values[q] = vals.pop()
-            return values
-        basis = next(iter(self._amplitudes))
-        return {q: basis[i] for i, q in enumerate(self._qubits)}
+        if self.num_terms == 0:
+            return None if self._qubits else {}
+        rows = self._bits[:, self._columns(self._qubits)]
+        if (rows != rows[0]).any():
+            return None
+        return dict(zip(self._qubits, rows[0].tolist()))
 
     def fidelity_with(self, other: "SparseState") -> float:
         """|<self|other>|^2 over the union of qubit labels (missing = |0>)."""
@@ -359,7 +393,7 @@ class SparseState:
     def _expand_to(self, labels: Sequence[Qubit]) -> dict[Basis, complex]:
         positions = {q: i for i, q in enumerate(labels)}
         out: dict[Basis, complex] = {}
-        for basis, amp in self._amplitudes.items():
+        for basis, amp in self.items():
             new_basis = [0] * len(labels)
             for q, bit in zip(self._qubits, basis):
                 new_basis[positions[q]] = bit
@@ -377,11 +411,62 @@ class SparseState:
             raise ValueError("order must be a permutation of the state's qubits")
         n = len(order)
         vec = np.zeros(2**n, dtype=complex)
-        positions = [self._index[q] for q in order]
-        for basis, amp in self._amplitudes.items():
-            bits = tuple(basis[i] for i in positions)
-            vec[_bits_to_int(bits)] = amp
+        weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+        vec[self._bits[:, self._columns(order)].astype(np.int64) @ weights] = (
+            self._amps
+        )
         return vec
+
+
+# Permutation gates as in-place XORs over the columns of the bit matrix.
+def _apply_x(bits: np.ndarray, target: int) -> None:
+    column = bits[:, target]
+    column ^= 1
+
+
+def _apply_cx(bits: np.ndarray, control: int, target: int) -> None:
+    column = bits[:, target]
+    column ^= bits[:, control]
+
+
+def _apply_ccx(bits: np.ndarray, control1: int, control2: int, target: int) -> None:
+    column = bits[:, target]
+    column ^= bits[:, control1] & bits[:, control2]
+
+
+def _swap_where(bits: np.ndarray, fire: np.ndarray, a: int, b: int) -> None:
+    col_a, col_b = bits[:, a], bits[:, b]
+    diff = col_a ^ col_b
+    diff &= fire
+    col_a ^= diff
+    col_b ^= diff
+
+
+def _apply_cswap(bits: np.ndarray, control: int, a: int, b: int) -> None:
+    _swap_where(bits, bits[:, control], a, b)
+
+
+def _apply_anti_cswap(bits: np.ndarray, control: int, a: int, b: int) -> None:
+    _swap_where(bits, bits[:, control] ^ 1, a, b)
+
+
+_PERMUTATIONS: dict[str, Callable[..., None]] = {
+    "I": lambda bits, target: None,
+    "X": _apply_x,
+    "CX": _apply_cx,
+    "CCX": _apply_ccx,
+    "CSWAP": _apply_cswap,
+    "ANTI_CSWAP": _apply_anti_cswap,
+}
+
+
+def _row_keys(bits: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a bit matrix, equal iff the rows are."""
+    packed = np.packbits(bits, axis=1)
+    if packed.shape[1] == 0:
+        packed = np.zeros((bits.shape[0], 1), dtype=np.uint8)
+    packed = np.ascontiguousarray(packed)
+    return packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
 
 
 def _int_to_bits(value: int, width: int) -> tuple[int, ...]:
@@ -398,3 +483,4 @@ def _bits_to_int(bits: Sequence[int]) -> int:
 
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+_Y_MATRIX = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -12,7 +12,7 @@ from collections.abc import Hashable, Mapping, Sequence
 import numpy as np
 
 from repro.sim.circuit import Circuit, Operation
-from repro.sim.gates import gate_unitary
+from repro.sim.gates import check_distinct_qubits, gate_unitary
 
 Qubit = Hashable
 
@@ -73,6 +73,7 @@ class StatevectorSimulator:
         self, gate: str, qubits: Sequence[Qubit], theta: float | None = None
     ) -> None:
         """Apply a named gate to the given qubits."""
+        check_distinct_qubits(gate, qubits)
         matrix = gate_unitary(gate, theta)
         self._apply_matrix(matrix, [self._index[q] for q in qubits])
 

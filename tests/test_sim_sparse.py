@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.sparse_dict import SparseState as DictSparseState
 from repro.sim.circuit import Circuit
 from repro.sim.sparse import SparseState
 from repro.sim.statevector import StatevectorSimulator
@@ -130,3 +131,38 @@ def test_set_register_roundtrip(value):
     qubits = [f"r{i}" for i in range(4)]
     state.set_register(qubits, value)
     assert state.marginal_distribution(qubits) == {value: pytest.approx(1.0)}
+
+
+@pytest.mark.parametrize(
+    "gate, qubits, repeated",
+    [("CX", ["a", "a"], "a"), ("CSWAP", ["a", "a", "b"], "a"),
+     ("CCX", ["a", "b", "b"], "b"), ("SWAP", ["b", "b"], "b")],
+)
+def test_gate_on_repeated_qubit_raises(gate, qubits, repeated):
+    """A repeated qubit would apply a non-unitary map; it is rejected and
+    the state is left as it was."""
+    state = SparseState(["a", "b"])
+    state.apply_gate("H", ["a"])
+    state.apply_gate("X", ["b"])
+    before = state.amplitudes()
+    with pytest.raises(
+        ValueError, match=f"gate {gate} acts on repeated qubit '{repeated}'"
+    ):
+        state.apply_gate(gate, qubits)
+    assert state.amplitudes() == before
+    assert math.isclose(state.norm(), 1.0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("state_class", [SparseState, DictSparseState])
+def test_register_amplitudes_ties_go_to_the_first_term(state_class):
+    """Two rest branches of equal weight: the phase reference is the branch
+    of the earliest term, here b=1 carrying the phase i."""
+    state = state_class()
+    state.prepare_superposition(["a"], {0: 1, 1: 1})
+    state.prepare_superposition(["b"], {1: 1j, 0: 1})
+    assert [basis for basis, _ in state.items()][0] == (0, 1)
+    assert state.probability({"b": 0}) == pytest.approx(0.5)
+    amps = state.register_amplitudes(["a"])
+    assert list(amps) == [0, 1]
+    assert amps[0] == pytest.approx(1j / math.sqrt(2), abs=1e-15)
+    assert amps[1] == pytest.approx(1j / math.sqrt(2), abs=1e-15)

@@ -125,3 +125,17 @@ def test_gate_counts():
     circuit = bell_circuit()
     assert circuit.gate_counts() == {"H": 1, "CX": 1}
     assert circuit.num_qubits == 2
+
+
+@pytest.mark.parametrize(
+    "simulator", [StatevectorSimulator, DensityMatrixSimulator]
+)
+@pytest.mark.parametrize(
+    "gate, qubits", [("CX", ["a", "a"]), ("cswap", ["a", "a", "b"])]
+)
+def test_dense_gate_on_repeated_qubit_raises(simulator, gate, qubits):
+    sim = simulator(["a", "b"])
+    with pytest.raises(
+        ValueError, match=f"gate {gate.upper()} acts on repeated qubit 'a'"
+    ):
+        sim.apply_gate(gate, qubits)
