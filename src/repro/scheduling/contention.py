@@ -1,12 +1,25 @@
 """Discrete-event simulation of algorithms sharing one QRAM.
 
-This is the engine behind Fig. 7 (scheduling diagram / utilization) and
-Fig. 10 (synthetic-algorithm heat maps).  Each *algorithm* (running on its
-own QPU) alternates a QRAM query and ``d`` layers of local processing, for a
-fixed number of rounds.  The shared QRAM is described by a
-:class:`QRAMServiceModel` — its query latency, admission interval (pipeline
-interval) and query parallelism — so the same simulator covers BB, Fat-Tree,
-Virtual and the distributed baselines.
+This is the engine behind Fig. 7 (scheduling diagram / utilization), Fig. 9
+(overall depth of parallel algorithms) and Fig. 10 (synthetic-algorithm heat
+maps).  Each *algorithm* (running on its own QPU) alternates a QRAM query and
+``d`` layers of local processing, for a fixed number of rounds.  The shared
+QRAM is described by a :class:`QRAMServiceModel` — its query latency,
+admission interval (pipeline interval) and query parallelism — so the same
+simulator covers BB, Fat-Tree, Virtual and the distributed baselines.
+
+Event model: a min-heap of ``(time, sequence, kind, algorithm)`` events
+holds three kinds.  A ``request`` puts an algorithm's next query in the
+waiting heap, ordered by ``(request_time, sequence)``.  A ``complete`` ends a
+query and schedules the algorithm's next request after its processing time.
+An admission ``wakeup`` re-checks admission at ``next_admission`` (the last
+admission plus the admission interval); it is pushed once per
+``next_admission`` value, and none is needed for a full QRAM because a slot
+frees exactly at an in-flight finish time, whose ``complete`` event admits.
+After every event the oldest waiting query is admitted while a slot is free
+and the interval has elapsed.  Each query costs one request, one complete
+and at most one wake-up, so a run with ``Q`` queries takes ``O(Q log Q)``
+time.
 
 All times are in weighted circuit layers (fast layers = 1/8).
 """
@@ -14,7 +27,9 @@ All times are in weighted circuit layers (fast layers = 1/8).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import math
+from collections import deque
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -88,10 +103,14 @@ class SimulationReport:
             flight.
         qram_query_layers: sum over queries of their service time (used for
             utilization normalised by parallelism).
-        average_utilization: mean in-flight queries / parallelism over the
-            busy-or-waiting makespan (Fig. 10 b1/b2).
+        average_utilization: ``qram_query_layers / (parallelism *
+            overall_depth)``, capped at 1 (Fig. 10 b1/b2).  The denominator
+            is the whole makespan, so it includes the last algorithm's
+            trailing processing after its final query.
         total_queries: number of queries served.
         total_queue_delay_layers: total layers queries spent waiting for admission.
+        admission_wakeups: admission wake-up events processed (at most one
+            per admitted query); a count of simulator work, not of the model.
     """
 
     model: QRAMServiceModel
@@ -102,6 +121,7 @@ class SimulationReport:
     average_utilization: float
     total_queries: int
     total_queue_delay_layers: float
+    admission_wakeups: int = 0
 
 
 class SharedQRAMSimulation:
@@ -115,6 +135,9 @@ class SharedQRAMSimulation:
         if not workloads:
             raise ValueError("at least one workload is required")
         model = self.model
+        latency = model.weighted_query_latency
+        interval = model.admission_interval
+        parallelism = model.parallelism
 
         # Event queue of (time, sequence, kind, algorithm_id).
         events: list[tuple[float, int, str, int]] = []
@@ -130,43 +153,14 @@ class SharedQRAMSimulation:
             sequence += 1
 
         waiting: list[tuple[float, int, int]] = []  # (request_time, seq, algorithm)
-        in_flight: list[float] = []
+        # Finish times in admission order; one latency for all queries keeps
+        # them sorted, so expired ones leave from the front.
+        in_flight: deque[float] = deque()
         next_admission = 0.0
-        busy_intervals: list[tuple[float, float]] = []
+        wakeup_time = -math.inf  # latest admission wake-up pushed
         query_intervals: list[tuple[float, float]] = []
         total_queue_delay_layers = 0.0
-        total_queries = 0
-
-        def try_admit(now: float) -> None:
-            nonlocal next_admission, sequence, total_queue_delay_layers, total_queries
-            while waiting:
-                in_flight[:] = [f for f in in_flight if f > now]
-                if len(in_flight) >= model.parallelism or now < next_admission:
-                    break
-                request_time, _, algorithm = heapq.heappop(waiting)
-                start = now
-                finish = start + model.weighted_query_latency
-                in_flight.append(finish)
-                next_admission = start + model.admission_interval
-                busy_intervals.append((start, finish))
-                query_intervals.append((start, finish))
-                total_queue_delay_layers += start - request_time
-                total_queries += 1
-                heapq.heappush(events, (finish, sequence, "complete", algorithm))
-                sequence += 1
-
-        def schedule_retry(now: float) -> None:
-            nonlocal sequence
-            if not waiting:
-                return
-            in_flight_active = [f for f in in_flight if f > now]
-            candidates = [next_admission]
-            if len(in_flight_active) >= model.parallelism and in_flight_active:
-                candidates.append(min(in_flight_active))
-            retry = max(now, min(candidates)) if candidates else now
-            if retry > now:
-                heapq.heappush(events, (retry, sequence, "retry", -1))
-                sequence += 1
+        wakeups = 0
 
         while events:
             now, _, kind, algorithm = heapq.heappop(events)
@@ -181,18 +175,35 @@ class SharedQRAMSimulation:
                     sequence += 1
                 else:
                     finish_times[algorithm] = now + processing[algorithm]
-            # retry events only trigger admission below
-            try_admit(now)
-            schedule_retry(now)
+            else:
+                wakeups += 1
+            while waiting:
+                while in_flight and in_flight[0] <= now:
+                    in_flight.popleft()
+                if len(in_flight) >= parallelism or now < next_admission:
+                    break
+                request_time, _, admitted = heapq.heappop(waiting)
+                finish = now + latency
+                in_flight.append(finish)
+                next_admission = now + interval
+                query_intervals.append((now, finish))
+                total_queue_delay_layers += now - request_time
+                heapq.heappush(events, (finish, sequence, "complete", admitted))
+                sequence += 1
+            # A full QRAM frees a slot at an in-flight finish time, whose
+            # complete event (pushed earlier, so popped first) admits; only
+            # the admission interval needs its own wake-up.
+            if waiting and next_admission > now and next_admission > wakeup_time:
+                wakeup_time = next_admission
+                heapq.heappush(events, (wakeup_time, sequence, "wakeup", -1))
+                sequence += 1
 
-        overall_depth = max(finish_times.values()) if finish_times else 0.0
-        busy = _merge_intervals(busy_intervals)
+        overall_depth = max(finish_times.values())
+        busy = _merge_intervals(query_intervals)
         busy_layers = sum(end - start for start, end in busy)
         query_layers = sum(end - start for start, end in query_intervals)
         makespan = overall_depth if overall_depth > 0 else 1.0
-        average_utilization = min(
-            1.0, query_layers / (model.parallelism * makespan)
-        )
+        average_utilization = min(1.0, query_layers / (parallelism * makespan))
         return SimulationReport(
             model=model,
             overall_depth=overall_depth,
@@ -200,8 +211,9 @@ class SharedQRAMSimulation:
             qram_busy_layers=busy_layers,
             qram_query_layers=query_layers,
             average_utilization=average_utilization,
-            total_queries=total_queries,
+            total_queries=len(query_intervals),
             total_queue_delay_layers=total_queue_delay_layers,
+            admission_wakeups=wakeups,
         )
 
 
