@@ -29,9 +29,9 @@ Evaluation-order contract
 -------------------------
 
 :func:`pipelined_fidelities` evaluates all window slots in one array
-expression; :func:`pipelined_fidelities_scalar` is the original per-slot
-loop, kept verbatim as the pinned oracle.  The two are **bit-identical**
-by construction, not by accident:
+expression; the original per-slot loop is kept verbatim as the pinned
+oracle ``pipelined_fidelities_scalar`` in ``tests/oracles/noise_scalar.py``.
+The two are **bit-identical** by construction, not by accident:
 
 * every per-element operation (``min``/``max`` of offsets, the ``+ 1``,
   the division by the slot's duration, the final ``base + crosstalk *
@@ -70,7 +70,6 @@ __all__ = [
     "bb_bounds",
     "fat_tree_bounds",
     "pipelined_fidelities",
-    "pipelined_fidelities_scalar",
     "virtual_bounds",
 ]
 
@@ -132,7 +131,8 @@ def pipelined_fidelities(
 
     All slots are evaluated in one array expression; see the module
     docstring's evaluation-order contract for why the result is
-    bit-identical to :func:`pipelined_fidelities_scalar`.
+    bit-identical to the per-slot loop it replaced (the
+    ``pipelined_fidelities_scalar`` oracle under ``tests/oracles``).
     """
     starts = np.asarray(start_offsets, dtype=np.float64)
     finishes = np.asarray(finish_offsets, dtype=np.float64)
@@ -155,40 +155,6 @@ def pipelined_fidelities(
         1.0, base_infidelity + crosstalk_infidelity * overlaps
     )
     return tuple((1.0 - infidelities).tolist())
-
-
-def pipelined_fidelities_scalar(
-    base_infidelity: float,
-    crosstalk_infidelity: float,
-    start_offsets: Sequence[float],
-    finish_offsets: Sequence[float],
-) -> tuple[float, ...]:
-    """The original per-slot loop, kept verbatim as the pinned oracle.
-
-    Serving always goes through the vectorized
-    :func:`pipelined_fidelities`; this reference exists so the parity
-    tests can assert bit-identity against an implementation whose
-    evaluation order is self-evident.  (The ``_scalar`` suffix marks it
-    exempt from simlint's SIM008 hot-loop rule.)
-    """
-    count = len(start_offsets)
-    fidelities = []
-    for s in range(count):
-        duration = finish_offsets[s] - start_offsets[s] + 1
-        overlap = 0.0
-        for o in range(count):
-            if o == s:
-                continue
-            shared = (
-                min(finish_offsets[s], finish_offsets[o])
-                - max(start_offsets[s], start_offsets[o])
-                + 1
-            )
-            if shared > 0:
-                overlap += shared / duration
-        infidelity = min(1.0, base_infidelity + crosstalk_infidelity * overlap)
-        fidelities.append(1.0 - infidelity)
-    return tuple(fidelities)
 
 
 class PredictedFidelityMixin:

@@ -83,10 +83,13 @@ from repro.metrics.service_stats import (
     ServedQuery,
     ServiceStats,
     WindowRecord,
-    summarize_service,
 )
 from repro.metrics.sinks import ListSink, NullSink, RecordSink, SamplingSink
-from repro.metrics.streaming import IntervalStats, StreamingServiceAggregator
+from repro.metrics.streaming import (
+    IntervalStats,
+    StreamingServiceAggregator,
+    summarize_service,
+)
 from repro.perf.profiler import HotPathProfiler, StageProfile, env_profile
 from repro.schedule_cache import CacheStats, default_registry
 
@@ -238,9 +241,9 @@ class ServiceReport:
             the whole run).
         windows: executed pipeline windows (retained per the same mode).
         stats: aggregated per-tenant / per-shard / per-backend statistics —
-            the exact batch summary under full retention, the streaming
-            aggregates (exact counts and means, sketched percentiles)
-            otherwise.
+            exact percentiles under full retention (summarized from the
+            canonical-order records), sketched percentiles otherwise;
+            counts and means are exact in every mode.
         outputs: per-query output amplitudes over global ``(address, bus)``
             pairs (populated only on functional runs under full retention).
         rejected: requests refused by backpressure or shed past deadline
@@ -330,11 +333,11 @@ class ServiceEngine:
             slot and one admission interval of backend time.  1 disables
             the retry.
         retention: what happens to the per-request records —
-            ``"full"`` keeps every record and reproduces the historical
-            batch :class:`ServiceStats` byte for byte; ``"sampled"`` keeps
-            a fixed-size uniform reservoir (``sample_size`` per stream)
-            and reports the streaming aggregates; ``"none"`` keeps no
-            records at all, serving any request count in bounded memory.
+            ``"full"`` keeps every record and reports exact latency
+            percentiles; ``"sampled"`` keeps a fixed-size uniform
+            reservoir (``sample_size`` per stream) and reports sketched
+            percentiles; ``"none"`` keeps no records at all, serving any
+            request count in bounded memory.
         sample_size: reservoir capacity per record stream under
             ``retention="sampled"``.
         sample_seed: RNG seed of the reservoir sampler.
@@ -501,7 +504,12 @@ class ServiceEngine:
         self._window_sink = self._make_sink(1)
         self._rejected_sink = self._make_sink(2)
         self._scale_sink = self._make_sink(3)
-        self._aggregator = StreamingServiceAggregator()
+        # Full retention summarizes the retained records at the end, so
+        # its online aggregator keeps exact latencies instead of paying
+        # for P² sketches nobody reads.
+        self._aggregator = StreamingServiceAggregator(
+            exact=self.retention == "full"
+        )
         # Traffic events (arrivals / thinks / window starts / drains) still
         # in the heap — the liveness signal recurring ticks (ScaleCheck,
         # TelemetryTick) use to decide whether to reschedule without
@@ -708,8 +716,8 @@ class ServiceEngine:
             list(self._scale_sink.records) if self.retention != "none" else []
         )
         if self.retention == "full":
-            # The historical batch path, byte for byte: aggregate the
-            # complete record lists exactly as the legacy engine did.
+            # Canonical (completion) order fixes the summation order, so
+            # the stats are independent of event interleaving.
             stats = summarize_service(
                 served,
                 windows,

@@ -63,16 +63,12 @@ from repro.engine.partition import (
 )
 from repro.engine.pool import ForkWorkerPool, fork_available
 from repro.engine.workload import StreamingTraceSource, TraceSource, WorkloadSource
-from repro.metrics.service_stats import (
-    RejectedQuery,
-    ServedQuery,
-    WindowRecord,
-    summarize_service,
-)
+from repro.metrics.service_stats import RejectedQuery, ServedQuery, WindowRecord
 from repro.metrics.streaming import (
     IntervalStats,
     StreamingServiceAggregator,
     merge_service_aggregators,
+    summarize_service,
 )
 from repro.perf.profiler import StageProfile
 from repro.schedule_cache import default_registry

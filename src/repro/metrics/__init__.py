@@ -6,11 +6,14 @@
   (Table 2, Fig. 8).
 * :mod:`repro.metrics.spacetime` — space-time volume per query and the
   classical-memory-swap time budget (Table 2).
-* :mod:`repro.metrics.service_stats` — per-tenant / per-shard serving
-  statistics for the traffic-facing service layer (:mod:`repro.service`).
-* :mod:`repro.metrics.streaming` — online (bounded-memory) aggregates and
-  quantile sketches behind the engine's ``retention="sampled"`` /
-  ``"none"`` modes and its periodic telemetry ticks.
+* :mod:`repro.metrics.service_stats` — the serving records and the
+  per-tenant / per-shard / per-backend statistics types for the
+  traffic-facing service layer (:mod:`repro.service`).
+* :mod:`repro.metrics.streaming` — the one aggregation path that computes
+  every ``ServiceStats``: :class:`StreamingServiceAggregator` (exact
+  percentiles under ``retention="full"``, bounded-memory P² sketches under
+  ``"sampled"`` / ``"none"``), :func:`summarize_service` over complete
+  record lists, and the periodic telemetry samples.
 * :mod:`repro.metrics.sinks` — pluggable record destinations (keep / sample
   / drop / JSON-lines tee) for the serving engine's observation path.
 """
@@ -37,7 +40,6 @@ from repro.metrics.service_stats import (
     ShardStats,
     TenantStats,
     WindowRecord,
-    summarize_service,
 )
 from repro.metrics.sinks import (
     JsonlSink,
@@ -53,6 +55,7 @@ from repro.metrics.streaming import (
     P2Quantile,
     StreamingServiceAggregator,
     StreamingStat,
+    summarize_service,
 )
 
 __all__ = [

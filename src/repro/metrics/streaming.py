@@ -1,11 +1,22 @@
-"""Online (single-pass, bounded-memory) serving statistics.
+"""Serving statistics, aggregated one record at a time.
 
-The batch path in :mod:`repro.metrics.service_stats` aggregates *records* —
-one :class:`~repro.metrics.service_stats.ServedQuery` per completed request
-— so its memory and summarize time grow with the request count.  This
-module is the streaming alternative the engine uses under
-``retention="sampled"`` / ``retention="none"``: every record is folded into
-constant-size accumulators the moment it is produced and never stored.
+Every :class:`~repro.metrics.service_stats.ServiceStats` is computed here.
+The engine folds each :class:`~repro.metrics.service_stats.ServedQuery`,
+:class:`~repro.metrics.service_stats.WindowRecord` and
+:class:`~repro.metrics.service_stats.RejectedQuery` into a
+:class:`StreamingServiceAggregator` the moment it is produced;
+:func:`summarize_service` folds complete record lists through the same
+aggregator.  Counts, sums, means and extrema are exact in every mode; only
+the latency percentiles depend on how the aggregator was built:
+
+* ``exact=True`` (``retention="full"`` and :func:`summarize_service`)
+  retains the latencies and reports exact order statistics;
+* ``exact=False`` (``retention="sampled"`` / ``"none"``) keeps P²
+  sketches, so memory is O(tenants + shards + backends), never
+  O(requests): a million-query run aggregates through the same few
+  kilobytes as a hundred-query run.
+
+Building blocks:
 
 * :class:`StreamingStat` — count / sum / mean / min / max of one series.
 * :class:`P2Quantile` — the P² algorithm (Jain & Chlamtac, 1985): one
@@ -15,20 +26,18 @@ constant-size accumulators the moment it is produced and never stored.
 * :class:`LatencySketch` — the p50 / p95 / p99 bundle used for latency.
 * :class:`StreamingServiceAggregator` — the full
   :class:`~repro.metrics.service_stats.ServiceStats` surface (global,
-  per-tenant, per-shard, per-backend, rejection and SLO accounting)
-  maintained online; ``to_stats`` materializes the summary at any point.
+  per-tenant, per-shard, per-backend, rejection and SLO accounting);
+  ``to_stats`` materializes the summary at any point, and
+  :func:`merge_service_aggregators` combines per-partition aggregators.
 * :class:`IntervalStats` — one time-windowed telemetry sample (throughput,
   queue depths, rejection rate, fidelity) emitted by the engine's periodic
   :class:`~repro.engine.events.TelemetryTick`.
-
-Memory is O(tenants + shards + backends), never O(requests): a
-million-query run aggregates through the same few kilobytes as a
-hundred-query run.  Counts, sums and extrema are exact; only the latency
-percentiles are sketched.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.metrics.service_stats import (
@@ -41,7 +50,6 @@ from repro.metrics.service_stats import (
     ShardStats,
     TenantStats,
     WindowRecord,
-    _percentile,
 )
 
 __all__ = [
@@ -51,7 +59,21 @@ __all__ = [
     "StreamingServiceAggregator",
     "StreamingStat",
     "merge_service_aggregators",
+    "summarize_service",
 ]
+
+
+def _percentile(values: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile with linear interpolation (0 when empty)."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = (len(ordered) - 1) * q / 100.0
+    low = math.floor(rank)
+    high = math.ceil(rank)
+    if low == high:
+        return ordered[low]
+    return ordered[low] * (high - rank) + ordered[high] * (rank - low)
 
 
 class StreamingStat:
@@ -75,7 +97,7 @@ class StreamingStat:
 
     @property
     def mean(self) -> float:
-        """Mean of the series (0.0 when empty, matching ``_mean``)."""
+        """Mean of the series (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
     def merge(self, other: StreamingStat) -> None:
@@ -249,6 +271,54 @@ class LatencySketch:
         return self._p99.value
 
 
+class _ExactQuantile:
+    """One exact running quantile: duck-types :class:`P2Quantile`'s
+    ``add`` / ``value``.
+
+    Retains every observation and reports the linearly interpolated order
+    statistic (:func:`_percentile`), so an exact aggregator folds records
+    through the same ``add`` calls as a sketched one.
+    """
+
+    __slots__ = ("quantile", "values")
+
+    def __init__(self, quantile: float) -> None:
+        self.quantile = quantile
+        self.values: list[float] = []
+
+    def add(self, value: float) -> None:
+        self.values.append(value)
+
+    @property
+    def value(self) -> float:
+        return _percentile(self.values, self.quantile * 100.0)
+
+
+class _ExactSketch:
+    """Exact p50 / p95 / p99 over one retained series: duck-types
+    :class:`LatencySketch`."""
+
+    __slots__ = ("values",)
+
+    def __init__(self) -> None:
+        self.values: list[float] = []
+
+    def add(self, value: float) -> None:
+        self.values.append(value)
+
+    @property
+    def p50(self) -> float:
+        return _percentile(self.values, 50)
+
+    @property
+    def p95(self) -> float:
+        return _percentile(self.values, 95)
+
+    @property
+    def p99(self) -> float:
+        return _percentile(self.values, 99)
+
+
 @dataclass(frozen=True)
 class IntervalStats:
     """One time-windowed telemetry sample of a running service.
@@ -312,17 +382,6 @@ class _GroupAggregate:
     # Rejections (tenant view only).
     shed: int = 0
     fidelity_rejected: int = 0
-
-    def observe_served(self, record: ServedQuery) -> None:
-        self._observe_values(
-            record.latency_layers,
-            record.queue_delay_layers,
-            record.fidelity,
-            record.deadline is not None,
-            record.missed_deadline,
-            record.min_fidelity is not None,
-            record.missed_fidelity_slo,
-        )
 
     def _observe_values(
         self,
@@ -472,22 +531,25 @@ class StreamingServiceAggregator:
     :class:`RejectedQuery` through :meth:`observe_served` /
     :meth:`observe_window` / :meth:`observe_rejected`;
     :meth:`to_stats` materializes a :class:`ServiceStats` whose counts,
-    sums, means, extrema and rates are exact and whose latency percentiles
-    come from the P² sketches (global p50/p95/p99 and per-tenant p95).
-    Memory is O(tenants + shards + backends), independent of the number of
+    sums, means, extrema and rates are exact.  The latency percentiles
+    (global p50/p95/p99 and per-tenant p95) are exact order statistics
+    with ``exact=True``, which retains one latency per served record
+    (twice: globally and per tenant), and P² estimates otherwise, in
+    memory O(tenants + shards + backends) independent of the number of
     records observed.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, exact: bool = False) -> None:
         self.served_count = 0
         self.rejected_count = 0
         self.shed_count = 0
         self.fidelity_rejected_count = 0
         self.makespan_layers = 0.0
         self._global = _GroupAggregate()
-        self._latency_sketch = LatencySketch()
+        self._latency_sketch = _ExactSketch() if exact else LatencySketch()
+        self._quantile = _ExactQuantile if exact else P2Quantile
         self._tenants: dict[int, _GroupAggregate] = {}
-        self._tenant_sketches: dict[int, P2Quantile] = {}
+        self._tenant_sketches: dict[int, P2Quantile | _ExactQuantile] = {}
         self._shards: dict[int, _GroupAggregate] = {}
         self._backends: dict[str, _GroupAggregate] = {}
 
@@ -496,7 +558,7 @@ class StreamingServiceAggregator:
         group = self._tenants.get(tenant)
         if group is None:
             group = self._tenants[tenant] = _GroupAggregate()
-            self._tenant_sketches[tenant] = P2Quantile(0.95)
+            self._tenant_sketches[tenant] = self._quantile(0.95)
         return group
 
     def observe_served(self, record: ServedQuery) -> None:
@@ -566,12 +628,10 @@ class StreamingServiceAggregator:
         backend.observe_window(record)
 
     def observe_rejected(self, record: RejectedQuery) -> None:
-        # Mirror the batch path's tenant universe: shed and
-        # fidelity-infeasible refusals surface per tenant (they are SLO
-        # misses), while queue-full backpressure is service-level only — a
-        # tenant whose whole demand bounced off a full queue must not
-        # appear as a phantom zero-query row that summarize_service would
-        # not report.
+        # Shed and fidelity-infeasible refusals surface per tenant (they
+        # are SLO misses), while queue-full backpressure is service-level
+        # only — a tenant whose whole demand bounced off a full queue gets
+        # no phantom zero-query row.
         self.rejected_count += 1
         if record.reason == REJECT_DEADLINE_EXPIRED:
             self.shed_count += 1
@@ -588,10 +648,10 @@ class StreamingServiceAggregator:
     ) -> ServiceStats:
         """Materialize the running aggregates as a :class:`ServiceStats`.
 
-        Mirrors :func:`repro.metrics.service_stats.summarize_service`
-        record for record — identical counts, rates and extrema — with
-        sketched latency percentiles in place of the exact order
-        statistics.
+        Args:
+            max_queue_depth: deepest per-shard queue observed by the
+                serving loop (defaults to 0 for every shard).
+            clops: hardware clock in full circuit layers per second.
         """
         if not self.served_count:
             raise ValueError("at least one served query is required")
@@ -726,7 +786,10 @@ def merge_service_aggregators(
     the merged statistics bit-identical across worker counts.
 
     The merged aggregator is a summarizing snapshot: its percentile
-    sketches are frozen, so it must not observe further records.
+    sketches are frozen, so it must not observe further records.  Parts
+    must be sketching (``exact=False``) aggregators: full-retention runs
+    summarize their canonical-order records with :func:`summarize_service`
+    instead.
     """
     if not parts:
         raise ValueError("at least one partition aggregator is required")
@@ -767,3 +830,36 @@ def merge_service_aggregators(
         for tenant, reps in tenant_reps.items()
     }
     return merged
+
+
+def summarize_service(
+    served: Sequence[ServedQuery],
+    windows: Sequence[WindowRecord],
+    max_queue_depth: dict[int, int] | None = None,
+    clops: float = 1.0e6,
+    rejected: Sequence[RejectedQuery] = (),
+) -> ServiceStats:
+    """Aggregate complete record lists into a :class:`ServiceStats`.
+
+    Folds ``windows``, then ``served``, then ``rejected`` — each in the
+    given order, which fixes the float-summation order of every mean —
+    through an exact :class:`StreamingServiceAggregator`, so latency
+    percentiles are exact order statistics.
+
+    Args:
+        served: one record per completed query.
+        windows: one record per executed pipeline window.
+        max_queue_depth: deepest per-shard queue observed by the serving
+            loop (defaults to 0 for every shard).
+        clops: hardware clock in full circuit layers per second.
+        rejected: requests the engine refused (backpressure or expired
+            deadlines), folded into the offered / shed / miss accounting.
+    """
+    aggregator = StreamingServiceAggregator(exact=True)
+    for window in windows:
+        aggregator.observe_window(window)
+    for record in served:
+        aggregator.observe_served(record)
+    for refusal in rejected:
+        aggregator.observe_rejected(refusal)
+    return aggregator.to_stats(max_queue_depth, clops)

@@ -140,38 +140,44 @@ def _window(shard=0, total=10.0):
     )
 
 
+def _summarizers():
+    """Production ``summarize_service`` and the batch oracle it replaced
+    (``tests/oracles/service_stats_batch.py``): every edge case below must
+    hold for both."""
+    from oracles.service_stats_batch import summarize_service as oracle
+    from repro.metrics import summarize_service
+
+    return (summarize_service, oracle)
+
+
 def test_all_none_fidelity_records_summarize_to_none():
     """Hand-built timing-only records without fidelities must not poison the
     aggregates: fidelity summaries stay None, everything else computes."""
-    from repro.metrics import summarize_service
-
-    stats = summarize_service(
-        [_served(0), _served(1)], [_window()],
-    )
-    assert stats.mean_fidelity is None
-    assert stats.min_fidelity is None
-    assert stats.fidelity_slo_misses == 0
-    assert stats.fidelity_slo_miss_rate == 0.0
-    assert stats.per_tenant[0].mean_fidelity is None
-    assert stats.per_shard[0].mean_fidelity is None
-    assert stats.per_backend[""].mean_fidelity is None
+    for summarize in _summarizers():
+        stats = summarize(
+            [_served(0), _served(1)], [_window()],
+        )
+        assert stats.mean_fidelity is None
+        assert stats.min_fidelity is None
+        assert stats.fidelity_slo_misses == 0
+        assert stats.fidelity_slo_miss_rate == 0.0
+        assert stats.per_tenant[0].mean_fidelity is None
+        assert stats.per_shard[0].mean_fidelity is None
+        assert stats.per_backend[""].mean_fidelity is None
 
 
 def test_mixed_none_and_float_fidelities_average_the_floats():
-    from repro.metrics import summarize_service
-
-    stats = summarize_service(
-        [_served(0, fidelity=0.9), _served(1), _served(2, fidelity=0.7)],
-        [_window()],
-    )
-    assert stats.mean_fidelity == pytest.approx(0.8)
-    assert stats.min_fidelity == pytest.approx(0.7)
+    for summarize in _summarizers():
+        stats = summarize(
+            [_served(0, fidelity=0.9), _served(1), _served(2, fidelity=0.7)],
+            [_window()],
+        )
+        assert stats.mean_fidelity == pytest.approx(0.8)
+        assert stats.min_fidelity == pytest.approx(0.7)
 
 
 def test_fidelity_slo_miss_falls_back_to_observed_fidelity():
     """Without a prediction the observed fidelity drives the miss check."""
-    from repro.metrics import summarize_service
-
     served = [
         _served(0, fidelity=0.8, min_fidelity=0.9),            # miss (observed)
         _served(1, fidelity=0.8, predicted=0.95, min_fidelity=0.9),  # met
@@ -180,9 +186,19 @@ def test_fidelity_slo_miss_falls_back_to_observed_fidelity():
     assert served[0].missed_fidelity_slo
     assert not served[1].missed_fidelity_slo
     assert not served[2].missed_fidelity_slo
-    stats = summarize_service(served, [_window()])
-    assert stats.fidelity_slo_misses == 1
-    assert stats.fidelity_slo_miss_rate == pytest.approx(1.0 / 3.0)
+    for summarize in _summarizers():
+        stats = summarize(served, [_window()])
+        assert stats.fidelity_slo_misses == 1
+        assert stats.fidelity_slo_miss_rate == pytest.approx(1.0 / 3.0)
+
+
+def _reject(query_id, reason, tenant=0, min_fidelity=None):
+    from repro.metrics import RejectedQuery
+
+    return RejectedQuery(
+        query_id=query_id, tenant=tenant, shard=0, time=1.0, reason=reason,
+        min_fidelity=min_fidelity,
+    )
 
 
 def test_rejected_counts_invariant_never_negative():
@@ -191,48 +207,54 @@ def test_rejected_counts_invariant_never_negative():
         REJECT_DEADLINE_EXPIRED,
         REJECT_FIDELITY,
         REJECT_QUEUE_FULL,
-        RejectedQuery,
-        summarize_service,
     )
-
-    def reject(query_id, reason, tenant=0):
-        return RejectedQuery(
-            query_id=query_id, tenant=tenant, shard=0, time=1.0, reason=reason
-        )
 
     mixes = [
         [],
-        [reject(10, REJECT_DEADLINE_EXPIRED), reject(11, REJECT_DEADLINE_EXPIRED)],
-        [reject(10, REJECT_QUEUE_FULL), reject(11, REJECT_DEADLINE_EXPIRED)],
-        [reject(10, REJECT_FIDELITY), reject(11, REJECT_DEADLINE_EXPIRED),
-         reject(12, REJECT_QUEUE_FULL)],
+        [_reject(10, REJECT_DEADLINE_EXPIRED), _reject(11, REJECT_DEADLINE_EXPIRED)],
+        [_reject(10, REJECT_QUEUE_FULL), _reject(11, REJECT_DEADLINE_EXPIRED)],
+        [_reject(10, REJECT_FIDELITY), _reject(11, REJECT_DEADLINE_EXPIRED),
+         _reject(12, REJECT_QUEUE_FULL)],
     ]
-    for rejected in mixes:
-        stats = summarize_service(
-            [_served(0, fidelity=1.0)], [_window()], rejected=rejected
-        )
-        shed = sum(1 for r in rejected if r.reason == REJECT_DEADLINE_EXPIRED)
-        assert stats.rejected_queries == len(rejected) - shed
-        assert stats.rejected_queries >= 0
-        assert stats.shed_queries == shed
-        assert stats.offered_queries == 1 + len(rejected)
-        assert stats.fidelity_rejected_queries == sum(
-            1 for r in rejected if r.reason == REJECT_FIDELITY
-        )
+    for summarize in _summarizers():
+        for rejected in mixes:
+            stats = summarize(
+                [_served(0, fidelity=1.0)], [_window()], rejected=rejected
+            )
+            shed = sum(1 for r in rejected if r.reason == REJECT_DEADLINE_EXPIRED)
+            assert stats.rejected_queries == len(rejected) - shed
+            assert stats.rejected_queries >= 0
+            assert stats.shed_queries == shed
+            assert stats.offered_queries == 1 + len(rejected)
+            assert stats.fidelity_rejected_queries == sum(
+                1 for r in rejected if r.reason == REJECT_FIDELITY
+            )
 
 
 def test_all_fidelity_rejected_tenant_appears_in_per_tenant_stats():
     """A tenant whose whole demand was refused for fidelity still shows up,
     mirroring the all-shed-tenant behaviour for deadlines."""
-    from repro.metrics import REJECT_FIDELITY, RejectedQuery, summarize_service
+    from repro.metrics import REJECT_FIDELITY
 
-    rejected = [
-        RejectedQuery(query_id=5, tenant=7, shard=0, time=0.0,
-                      reason=REJECT_FIDELITY, min_fidelity=0.999)
-    ]
-    stats = summarize_service([_served(0, fidelity=1.0)], [_window()],
-                              rejected=rejected)
-    assert 7 in stats.per_tenant
-    assert stats.per_tenant[7].queries == 0
-    assert stats.per_tenant[7].fidelity_slo_misses == 1
-    assert stats.per_tenant[7].fidelity_slo_miss_rate == 1.0
+    rejected = [_reject(5, REJECT_FIDELITY, tenant=7, min_fidelity=0.999)]
+    for summarize in _summarizers():
+        stats = summarize([_served(0, fidelity=1.0)], [_window()],
+                          rejected=rejected)
+        assert 7 in stats.per_tenant
+        assert stats.per_tenant[7].queries == 0
+        assert stats.per_tenant[7].fidelity_slo_misses == 1
+        assert stats.per_tenant[7].fidelity_slo_miss_rate == 1.0
+
+
+def test_all_queue_full_tenant_has_no_per_tenant_row():
+    """Queue-full backpressure is service-level only: a tenant whose whole
+    demand bounced off a full queue gets no (phantom zero-query) row."""
+    from repro.metrics import REJECT_QUEUE_FULL
+
+    rejected = [_reject(5, REJECT_QUEUE_FULL, tenant=9)]
+    for summarize in _summarizers():
+        stats = summarize([_served(0, fidelity=1.0)], [_window()],
+                          rejected=rejected)
+        assert list(stats.per_tenant) == [0]
+        assert stats.rejected_queries == 1
+        assert stats.offered_queries == 2

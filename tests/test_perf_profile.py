@@ -17,8 +17,8 @@ import pytest
 
 import repro.perf.profiler as profiler_module
 from repro.engine.workload import StreamingTraceSource
-from repro.metrics.service_stats import ServedQuery, WindowRecord, _percentile
-from repro.metrics.streaming import P2Quantile
+from repro.metrics.service_stats import ServedQuery, WindowRecord
+from repro.metrics.streaming import P2Quantile, _percentile
 from repro.perf import HotPathProfiler, StageProfile, env_profile
 from repro.service.service import QRAMService
 from repro.service.sharding import InterleavedShardMap

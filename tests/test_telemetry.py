@@ -29,7 +29,6 @@ from repro.engine import (
     StreamingTraceSource,
     TraceSource,
 )
-from repro.metrics.service_stats import _percentile
 from repro.metrics.sinks import (
     JsonlSink,
     ListSink,
@@ -41,6 +40,7 @@ from repro.metrics.streaming import (
     P2Quantile,
     StreamingServiceAggregator,
     StreamingStat,
+    _percentile,
 )
 from repro.service import QRAMService
 from repro.workloads import (

@@ -25,10 +25,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.backends.noise import (
-    pipelined_fidelities,
-    pipelined_fidelities_scalar,
-)
+from oracles.noise_scalar import pipelined_fidelities_scalar
+from repro.backends.noise import pipelined_fidelities
 from repro.baselines.registry import build_backend
 from repro.engine.workload import StreamingTraceSource
 from repro.schedule_cache import default_registry
