@@ -41,6 +41,7 @@ from repro.core.query import (
     ideal_query_output,
     output_fidelity,
 )
+from repro.schedule_cache import default_registry
 from repro.sim.sparse import SparseState
 
 
@@ -282,8 +283,16 @@ class FatTreeExecutor:
         """
         if num_queries < 2:
             return PIPELINE_INTERVAL
-        if self._min_interval_cache is not None:
-            return self._min_interval_cache
+        if self._min_interval_cache is None:
+            # Data-independent: one search per capacity per process, shared
+            # by every memory image's executor through the registry.
+            self._min_interval_cache = default_registry().interval(
+                "Fat-Tree", self._capacity, self._search_minimum_interval
+            )
+        return self._min_interval_cache
+
+    def _search_minimum_interval(self) -> int:
+        """The conflict search behind :meth:`minimum_feasible_interval`."""
         base = self.relative_schedule(0)
         by_layer: dict[int, list[Instruction]] = {}
         for instr in base:
@@ -294,7 +303,6 @@ class FatTreeExecutor:
             if self._interval_is_feasible(by_layer, interval, lifetime):
                 result = interval
                 break
-        self._min_interval_cache = result
         return result
 
     def _interval_is_feasible(

@@ -31,7 +31,10 @@ class QueryRequest:
     Attributes:
         query_id: unique identifier.
         address_amplitudes: address superposition to query (normalised by the
-            executor); ``None`` for purely timing-level simulations.
+            executor), as any ``Mapping``; ``None`` for purely
+            timing-level simulations.  Generated traces draw it on first
+            read (:class:`~repro.workloads.generators.ShardSuperposition`)
+            — ``dict()`` it to force the draw.
         request_time: raw circuit layer at which the request arrives (used by
             the scheduler; 0 means "available from the start").
         qpu: identifier of the requesting QPU (for multi-QPU workloads).

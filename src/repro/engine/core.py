@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -484,7 +485,7 @@ class ServiceEngine:
         self._active = [True] * num_shards
         self._max_depth = {shard: 0 for shard in range(num_shards)}
         self._seen_ids = _SeenIds()
-        self._local_amps: dict[int, dict[int, complex]] = {}
+        self._local_amps: dict[int, Mapping[int, complex]] = {}
         self._copies: dict[int, int] = {}
         self._outputs: dict[int, dict[tuple[int, int], complex]] = {}
         # Read once per run: the hot path branches on these every event.
@@ -762,12 +763,23 @@ class ServiceEngine:
         self._heap.push(request.request_time, Arrival(request))
 
     def schedule_think(self, client_id: int, time: float) -> None:
-        """Schedule a closed-loop client's next issue instant."""
+        """Schedule a closed-loop client's next issue instant.
+
+        Every arrival at an instant precedes its window admissions.  A
+        think ending at the current instant after that arrival phase has
+        closed — a zero-think client whose request a :class:`WindowStart`
+        just shed or refused — issues at the next representable instant:
+        scheduling it into the closed phase would pop an earlier event key
+        after a later one.
+        """
+        time = max(0.0, time)
+        if time == self._now and self._heap.last_priority > ClientThink.PRIORITY:
+            time += math.ulp(time)  # the next representable instant
         self._traffic_events += 1
         event = self._think_events.get(client_id)
         if event is None:
             event = self._think_events[client_id] = ClientThink(client_id)
-        self._heap.push(max(0.0, time), event)
+        self._heap.push(time, event)
 
     # ------------------------------------------------------------ recording
     def _record_served(self, record: ServedQuery) -> None:
@@ -821,7 +833,10 @@ class ServiceEngine:
         # rejected, or still queued (the conservation invariant the
         # sanitizer checks at every drain).
         self._offered += 1
-        shard, local = self.fleet.shard_map.route(request.address_amplitudes)
+        amplitudes = request.address_amplitudes
+        shard, local = self.fleet.shard_map.route(amplitudes)
+        if self.sanitize and type(amplitudes) is not dict:
+            self._check_route(amplitudes, shard, local)
         if shard == ANY_SHARD:
             # Fidelity-aware placement: replicated shards all hold the full
             # memory, so prefer the shortest queue among the replicas that
@@ -1137,6 +1152,27 @@ class ServiceEngine:
         self._heap.push(busy, self._drain_events[shard])
 
     # -------------------------------------------------------------- sanitizer
+    def _check_route(
+        self,
+        amplitudes: Mapping[int, complex],
+        shard: int,
+        local: Mapping[int, complex],
+    ) -> None:
+        """Assert a routed mapping lands where its realized values do.
+
+        Shard maps route generated (lazily drawn) superpositions by the
+        shard they carry, without reading an address; realizing the draw
+        and routing the plain dict through the validating path must give
+        the same shard and the same local amplitudes.
+        """
+        eager_shard, eager_local = self.fleet.shard_map.route(dict(amplitudes))
+        if eager_shard != shard or dict(local) != eager_local:
+            raise SanitizerViolation(
+                f"superposition routed to ({shard}, {dict(local)}) without "
+                f"drawing, but its drawn values route to ({eager_shard}, "
+                f"{eager_local})"
+            )
+
     def _check_conservation(self, now: float) -> None:
         """Assert ``offered == served + rejected + queued`` right now.
 

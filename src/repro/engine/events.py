@@ -153,6 +153,9 @@ class EventHeap:
         self._sequence = 0
         self._sanitize = sanitize
         self._last_key: tuple[float, int, int] | None = None
+        #: Type priority of the most recently popped event (-1 before the
+        #: first pop): the phase of the current instant being processed.
+        self.last_priority = -1
 
     def push(self, time: float, event: Event) -> None:
         """Schedule an event at an absolute virtual time (raw layers)."""
@@ -166,6 +169,7 @@ class EventHeap:
     def pop(self) -> tuple[float, Event]:
         """Remove and return the next ``(time, event)`` pair."""
         time, priority, sequence, event = heapq.heappop(self._heap)
+        self.last_priority = priority
         if self._sanitize:
             key = (time, priority, sequence)
             if self._last_key is not None and key < self._last_key:

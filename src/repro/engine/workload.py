@@ -27,7 +27,13 @@ elapses.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import (
+    Callable,
+    Iterable,
+    Mapping,
+    MutableMapping,
+    Sequence,
+)
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -229,9 +235,14 @@ class ClosedLoopSource(WorkloadSource):
             if client.deadline_layers is None
             else now + client.deadline_layers
         )
+        amplitudes = self.address_factory(client, index)
+        if isinstance(amplitudes, MutableMapping):
+            # A factory may hand out a dict it later mutates; read-only
+            # mappings (the generators' lazily drawn ones) pass as they are.
+            amplitudes = dict(amplitudes)
         return QueryRequest(
             query_id=query_id,
-            address_amplitudes=dict(self.address_factory(client, index)),
+            address_amplitudes=amplitudes,
             request_time=now,
             qpu=client_id,
             deadline=deadline,

@@ -619,9 +619,9 @@ class WorkloadSpec:
         shard re-seeds a shard-aligned superposition (mapped modulo the
         replaying fleet's shard count, so traces recorded on one fleet
         shape replay on another), keyed by ``seed + query_id`` exactly
-        like the generators.
+        like the generators, and drawn lazily like theirs.
         """
-        from repro.workloads.generators import shard_aligned_superposition
+        from repro.workloads.generators import ShardSuperposition
 
         num_shards = self._trace_num_shards(fleet)
         requests: list[QueryRequest] = []
@@ -634,11 +634,11 @@ class WorkloadSpec:
                 continue
             requests.append(QueryRequest(
                 query_id=record.query_id,
-                address_amplitudes=shard_aligned_superposition(
+                address_amplitudes=ShardSuperposition(
                     fleet.capacity, num_shards,
                     shard % num_shards if shard >= 0 else 0,
                     self.addresses_per_query,
-                    seed=self.seed + record.query_id,
+                    self.seed + record.query_id,
                 ),
                 request_time=float(arrival),
                 qpu=record.tenant,

@@ -28,8 +28,14 @@ table keyed by ``(kind, capacity, memory image, distance)``:
   backends today wrap a bare inner backend, which keys itself).
 
 Per-window occupancy does not appear in the executor key: each executor
-already memoizes its schedule / lowering / interval caches per occupancy
+already memoizes its schedule / lowering caches per occupancy
 internally, so sharing the executor shares those too.
+
+The **minimum feasible admission interval** depends on the capacity
+alone, not on the memory image, so it has a third table keyed ``(kind,
+capacity)``: the conflict search runs once per capacity per process, even
+when a campaign's memory images outnumber the executor table and evict
+each other.
 
 Alongside the executors the registry holds a second, finer-grained table
 of **per-occupancy fidelity vectors** — the analytic per-slot predictions
@@ -160,6 +166,8 @@ class ScheduleCacheRegistry:
         self._fidelity_vectors: OrderedDict[
             _FidelityKey, tuple[float, ...]
         ] = OrderedDict()
+        # One entry per (kind, capacity) in use: no LRU bound needed.
+        self._intervals: dict[tuple[str, int], int] = {}
         # Guards the tables for same-process concurrent use; forked workers
         # each get their own (unlocked) copy of the registry.
         self._lock = threading.Lock()
@@ -244,6 +252,22 @@ class ScheduleCacheRegistry:
                 self._fidelity_vectors.popitem(last=False)
         return built
 
+    def interval(
+        self, kind: str, capacity: int, factory: Callable[[], int]
+    ) -> int:
+        """The shared minimum feasible admission interval of one
+        architecture at one capacity (``factory()`` searches it on first
+        use).  The key carries no memory image: the interval depends on
+        the schedule's qubit conflicts, never on the data."""
+        key = (kind, capacity)
+        with self._lock:
+            value = self._intervals.get(key)
+        if value is None:
+            value = factory()
+            with self._lock:
+                self._intervals[key] = value
+        return value
+
     def prewarm(self, backends: Iterable[Any]) -> int:
         """Warm every backend's schedule caches through the registry.
 
@@ -287,6 +311,7 @@ class ScheduleCacheRegistry:
         with self._lock:
             self._entries.clear()
             self._fidelity_vectors.clear()
+            self._intervals.clear()
             self._hits = 0
             self._misses = 0
             self._prewarms = 0

@@ -19,6 +19,12 @@ Two placements are supported:
 Both maps expose the same surface: ``shard_capacity``, ``shard_data``,
 ``route``, ``owners`` / ``local_address`` (for writes) and
 ``to_global_outputs``.
+
+``route`` validates a superposition by reading its addresses, with one
+exception: a generated :class:`~repro.workloads.generators.ShardSuperposition`
+whose geometry matches the map is routed by the shard it carries and
+returned as a lazy view, so timing-only serving never draws the
+addresses.  Every other mapping takes the validating path.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from repro.bucket_brigade.tree import validate_capacity
 # dependency-free query module so the engine that interprets it and the
 # maps that return it never import each other.
 from repro.core.query import ANY_SHARD
+from repro.workloads.generators import ShardSuperposition
 
 __all__ = [
     "ANY_SHARD",
@@ -93,8 +100,12 @@ class InterleavedShardMap:
 
     def route(
         self, address_amplitudes: Mapping[int, complex]
-    ) -> tuple[int, dict[int, complex]]:
+    ) -> tuple[int, Mapping[int, complex]]:
         """Route an address superposition to its shard.
+
+        A :class:`ShardSuperposition` drawn for this map's capacity and
+        shard count lies in its carried shard by construction: it routes
+        there without drawing, its local amplitudes a lazy view.
 
         Returns:
             ``(shard, local_amplitudes)`` with every global address
@@ -104,6 +115,12 @@ class InterleavedShardMap:
             ValueError: if the superposition spans more than one shard (the
                 shards are physically independent QRAMs).
         """
+        if (
+            isinstance(address_amplitudes, ShardSuperposition)
+            and address_amplitudes.capacity == self.capacity
+            and address_amplitudes.num_shards == self.num_shards
+        ):
+            return address_amplitudes.shard, address_amplitudes.local()
         if not address_amplitudes:
             raise ValueError("empty address superposition")
         if len(address_amplitudes) == 1:
@@ -183,13 +200,22 @@ class ReplicatedShardMap:
 
     def route(
         self, address_amplitudes: Mapping[int, complex]
-    ) -> tuple[int, dict[int, complex]]:
+    ) -> tuple[int, Mapping[int, complex]]:
         """Validate a superposition; any replica may serve it.
+
+        A :class:`ShardSuperposition` drawn over this map's capacity holds
+        only in-range addresses by construction (whatever shard count it
+        aligns to); it passes through undrawn.
 
         Returns:
             ``(ANY_SHARD, amplitudes)`` — the serving loop chooses the
             replica at admission time.
         """
+        if (
+            isinstance(address_amplitudes, ShardSuperposition)
+            and address_amplitudes.capacity == self.capacity
+        ):
+            return ANY_SHARD, address_amplitudes
         if not address_amplitudes:
             raise ValueError("empty address superposition")
         for address in address_amplitudes:

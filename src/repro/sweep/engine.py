@@ -87,7 +87,7 @@ METRIC_FIELDS = (
 def _canonical(value: Any) -> Any:
     """JSON-serializable canonical form of report content.
 
-    Dataclasses flatten via ``asdict`` upstream; here tuples become
+    Dataclasses flatten to dicts upstream; here tuples become
     lists, complex amplitudes become ``[real, imag]`` pairs, and dicts
     with non-string keys (per-tenant/per-shard tables, output
     amplitudes) become key-sorted pair lists so the canonical JSON is
@@ -108,6 +108,21 @@ def _canonical(value: Any) -> Any:
     return value
 
 
+@functools.cache
+def _field_names(record_type: type[Any]) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(record_type))
+
+
+def _flat_records(records: Sequence[Any]) -> list[dict[str, Any]]:
+    """``[dataclasses.asdict(r) for r in records]`` for records whose
+    fields are all scalars (served, window, rejection and scale records):
+    the same dicts, without ``asdict``'s recursive deep copy."""
+    return [
+        {name: getattr(record, name) for name in _field_names(type(record))}
+        for record in records
+    ]
+
+
 def report_digest(report: ServiceReport) -> str:
     """SHA-256 over the canonical JSON of a report's *result* content.
 
@@ -119,12 +134,12 @@ def report_digest(report: ServiceReport) -> str:
     without shipping whole reports around.
     """
     payload = {
-        "served": [dataclasses.asdict(r) for r in report.served],
-        "windows": [dataclasses.asdict(r) for r in report.windows],
+        "served": _flat_records(report.served),
+        "windows": _flat_records(report.windows),
         "stats": dataclasses.asdict(report.stats),
         "outputs": report.outputs,
-        "rejected": [dataclasses.asdict(r) for r in report.rejected],
-        "scale_events": [dataclasses.asdict(r) for r in report.scale_events],
+        "rejected": _flat_records(report.rejected),
+        "scale_events": _flat_records(report.scale_events),
         "telemetry": [dataclasses.asdict(r) for r in report.telemetry],
         "retention": report.retention,
     }

@@ -5,7 +5,9 @@
   :mod:`repro.scheduling.events` and the serving traces here.
 * :mod:`repro.workloads.generators` — memory contents, address
   superpositions, open-loop query traces and the closed-loop client fleet
-  builder for the discrete-event engine.
+  builder for the discrete-event engine.  Traces and fleets carry lazily
+  drawn :class:`ShardSuperposition` amplitudes: timing-only serving routes
+  them by their carried shard and never draws an address.
 """
 
 from repro.workloads.arrivals import (
@@ -20,6 +22,7 @@ from repro.workloads.arrivals import (
     periodic_times,
 )
 from repro.workloads.generators import (
+    ShardSuperposition,
     bursty_trace,
     closed_loop_source,
     diurnal_trace,
@@ -45,6 +48,7 @@ __all__ = [
     "uniform_superposition",
     "random_address_superposition",
     "shard_aligned_superposition",
+    "ShardSuperposition",
     "query_trace",
     "poisson_trace",
     "iter_poisson_trace",

@@ -1,10 +1,16 @@
 """Generators for classical memory contents, address superpositions and
-query traces."""
+query traces.
+
+Generated traces and closed-loop fleets carry lazily drawn
+:class:`ShardSuperposition` amplitudes: a query's latency and the
+pipeline's bandwidth depend only on capacity and admission schedule, so a
+timing-only run never draws its addresses.
+"""
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -115,15 +121,95 @@ def shard_aligned_superposition(
 
     With low-order interleaving, shard ``s`` of ``K`` owns the global
     addresses ``{s, s + K, s + 2K, ...}``; a query served by a sharded QRAM
-    service must keep its superposition inside one such set.
+    service must keep its superposition inside one such set.  The eager
+    form of :class:`ShardSuperposition` (same values, drawn now).
     """
-    if not 0 <= shard < num_shards:
-        raise ValueError("shard out of range")
-    if capacity % num_shards != 0:
-        raise ValueError("num_shards must divide the capacity")
-    shard_capacity = capacity // num_shards
-    local = random_address_superposition(shard_capacity, num_addresses, seed=seed)
-    return {a * num_shards + shard: amp for a, amp in local.items()}
+    return dict(
+        ShardSuperposition(capacity, num_shards, shard, num_addresses, seed)
+    )
+
+
+class ShardSuperposition(Mapping[int, complex]):
+    """A :func:`shard_aligned_superposition`, drawn on first read.
+
+    A read-only mapping equal, amplitude for amplitude, to
+    ``shard_aligned_superposition(capacity, num_shards, shard,
+    num_addresses, seed)``: the draw is deferred until something reads an
+    amplitude, then memoized.  Its size, truthiness and geometry
+    (``capacity``, ``num_shards``, ``shard``) are known without drawing,
+    which is all a timing-only run asks of a request — so the generated
+    traces carry these, and a shard map of matching geometry routes them
+    by the carried shard (see :meth:`local`) without drawing at all.
+    Functional backends, ``==``, ``repr`` and ``dict(...)`` realize the
+    values on demand; each draw is keyed by its own ``seed`` (the query's
+    global position), so when or whether it happens changes no value.
+    """
+
+    __slots__ = (
+        "capacity", "num_shards", "shard", "num_addresses", "seed", "_values",
+    )
+
+    def __init__(
+        self,
+        capacity: int,
+        num_shards: int,
+        shard: int,
+        num_addresses: int,
+        seed: int = 0,
+    ) -> None:
+        # The eager draw's argument checks, in its order, so a bad trace
+        # still fails where it is generated.
+        if not 0 <= shard < num_shards:
+            raise ValueError("shard out of range")
+        if capacity % num_shards != 0:
+            raise ValueError("num_shards must divide the capacity")
+        shard_capacity = capacity // num_shards
+        validate_capacity(shard_capacity)
+        if not 1 <= num_addresses <= shard_capacity:
+            raise ValueError("num_addresses out of range")
+        self.capacity = capacity
+        self.num_shards = num_shards
+        self.shard = shard
+        self.num_addresses = num_addresses
+        self.seed = seed
+        self._values: dict[int, complex] | None = None
+
+    def local(self) -> ShardSuperposition:
+        """The same superposition in its shard's local address space.
+
+        Global address ``a * num_shards + shard`` is local address ``a``,
+        and the global draw *is* the local draw relabelled, so the local
+        view is the one-shard superposition over the shard's capacity with
+        the same seed — lazy too.
+        """
+        return ShardSuperposition(
+            self.capacity // self.num_shards, 1, 0, self.num_addresses,
+            self.seed,
+        )
+
+    def _realize(self) -> dict[int, complex]:
+        values = self._values
+        if values is None:
+            num_shards, shard = self.num_shards, self.shard
+            drawn = random_address_superposition(
+                self.capacity // num_shards, self.num_addresses, seed=self.seed
+            )
+            values = self._values = {
+                a * num_shards + shard: amp for a, amp in drawn.items()
+            }
+        return values
+
+    def __getitem__(self, address: int) -> complex:
+        return self._realize()[address]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._realize())
+
+    def __len__(self) -> int:
+        return self.num_addresses
+
+    def __repr__(self) -> str:
+        return repr(self._realize())
 
 
 def _cumulative_weights(
@@ -171,9 +257,12 @@ def _iter_arrival_trace(
     those shards — the same requests, byte for byte, that the unrestricted
     stream yields for them (every query's ids, times, tenants and draws
     are keyed by its global position ``i``, and the cheap sequential
-    shard draw advances for skipped queries too), but the expensive
-    superposition draw is skipped for everything else.  This is what lets
-    a parallel serving worker regenerate only its partition of a trace.
+    shard draw advances for skipped queries too).  This is what lets a
+    parallel serving worker regenerate only its partition of a trace.
+
+    Each request carries a :class:`ShardSuperposition`: the address draw
+    happens only if something reads the amplitudes (a functional backend,
+    ``==``), never on a timing-only run.
 
     ``shard_weights`` / ``tenant_weights`` skew the shard draw and the
     tenant assignment (hot-key and misbehaving-tenant workloads).  Both
@@ -240,8 +329,8 @@ def _iter_arrival_trace(
             continue
         yield QueryRequest(
             query_id=i,
-            address_amplitudes=shard_aligned_superposition(
-                capacity, num_shards, shard, addresses_per_query, seed=seed + i
+            address_amplitudes=ShardSuperposition(
+                capacity, num_shards, shard, addresses_per_query, seed + i
             ),
             request_time=float(t),
             qpu=tenant,
@@ -555,7 +644,8 @@ def closed_loop_source(
 
     Each client alternates one outstanding query with ``think_layers`` of
     local processing (the QPU query/process loop of Fig. 7); its requests
-    carry shard-aligned address superpositions, so the source can drive a
+    carry lazily drawn shard-aligned address superpositions
+    (:class:`ShardSuperposition`), so the source can drive a
     ``num_shards``-shard interleaved :class:`~repro.service.QRAMService`
     directly (use ``num_shards=1`` for replicated / shortest-queue fleets,
     whose shards all serve the global address space).
@@ -587,11 +677,18 @@ def closed_loop_source(
         for client_id in range(num_clients)
     ]
 
-    def address_factory(client: ClosedLoopClient, index: int) -> dict[int, complex]:
+    def address_factory(
+        client: ClosedLoopClient, index: int
+    ) -> ShardSuperposition:
         draw_seed = seed + client.client_id * 100003 + index
-        shard = int(np.random.default_rng(draw_seed).integers(num_shards))
-        return shard_aligned_superposition(
-            capacity, num_shards, shard, addresses_per_query, seed=draw_seed
+        # One shard needs no draw: ``integers(1)`` is always 0.
+        shard = (
+            0
+            if num_shards == 1
+            else int(np.random.default_rng(draw_seed).integers(num_shards))
+        )
+        return ShardSuperposition(
+            capacity, num_shards, shard, addresses_per_query, draw_seed
         )
 
     return ClosedLoopSource(clients, address_factory)

@@ -5,6 +5,7 @@ import pytest
 from repro.core import FatTreeQRAM, QueryRequest
 from repro.core.executor import FatTreeExecutor
 from repro.core.pipeline import PIPELINE_INTERVAL
+from repro.schedule_cache import default_registry
 from repro.bucket_brigade.instructions import InstructionKind
 from repro.workloads import structured_data
 
@@ -82,6 +83,31 @@ def test_minimum_feasible_interval_bounds():
     _, outputs = executor.run_pipelined_queries(requests, interval=interval)
     for request in requests:
         assert executor.query_fidelity(request, outputs[request.query_id]) == pytest.approx(1.0)
+
+
+def test_minimum_feasible_interval_is_searched_once_per_capacity(monkeypatch):
+    """The interval is data-independent: executors of different memory
+    images share one conflict search through the schedule-cache registry,
+    which ``clear()`` resets."""
+    registry = default_registry()
+    registry.clear()
+    searched = []
+    original = FatTreeExecutor._offset_is_conflict_free
+
+    def counting(self, by_layer, offset):
+        searched.append(offset)
+        return original(self, by_layer, offset)
+
+    monkeypatch.setattr(FatTreeExecutor, "_offset_is_conflict_free", counting)
+    first = FatTreeExecutor(16, [0] * 16).minimum_feasible_interval(4)
+    assert searched
+    searched.clear()
+    second = FatTreeExecutor(16, [1, 0] * 8).minimum_feasible_interval(4)
+    assert second == first
+    assert searched == []
+    registry.clear()
+    assert FatTreeExecutor(16, [1] * 16).minimum_feasible_interval(4) == first
+    assert searched
 
 
 def test_capacity4_pipelined_queries():

@@ -8,7 +8,9 @@ record-list summarizer, which groups the records and aggregates each group
 with builtin ``sum`` / ``min`` / ``max``.  This module serves ~150 seeded
 fuzzer scenarios under full retention and holds the two to each other on
 every field of every ``ServiceStats`` / ``TenantStats`` / ``ShardStats`` /
-``BackendStats``, and on ``repr``.
+``BackendStats``, and on ``repr``.  The same draws hold the sweep's
+``report_digest`` to its ``dataclasses.asdict`` original
+(``tests/oracles/report_digest_asdict.py``).
 
 Python 3.12 made builtin ``sum()`` of floats Neumaier-compensated, while
 the aggregator accumulates with plain ``+=``.  On 3.12+ the float fields
@@ -27,9 +29,11 @@ import random
 import sys
 from typing import Any
 
+from oracles.report_digest_asdict import report_digest as oracle_digest
 from oracles.service_stats_batch import summarize_service as oracle_summarize
 from repro.metrics import summarize_service
 from repro.scenarios import draw_spec
+from repro.sweep import report_digest
 
 SEEDS = range(150)
 
@@ -75,9 +79,7 @@ def test_summarize_service_matches_batch_oracle():
         spec = draw_spec(random.Random(seed))
         # The runtime sanitizer only observes (sanitized runs are pinned
         # bit-identical to plain ones), so it is off here: this test is
-        # about aggregation.  Draw 101 trips its heap-order check through
-        # a known engine defect (a zero-think closed-loop client re-issuing
-        # at the instant its request was shed; see ROADMAP.md).
+        # about aggregation.
         spec = dataclasses.replace(
             spec,
             run=dataclasses.replace(
@@ -107,6 +109,7 @@ def test_summarize_service_matches_batch_oracle():
             assert repr(production) == repr(oracle), f"seed {seed}"
         # The engine's full-retention stats are this same summary.
         assert report.stats == production, f"seed {seed}"
+        assert report_digest(report) == oracle_digest(report), f"seed {seed}"
         compared += 1
     # Most draws serve something; a vacuous sweep would prove nothing.
     assert compared > len(SEEDS) * 3 // 4

@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from oracles.report_digest_asdict import report_digest as oracle_digest
 from repro.scenarios.fuzz import draw_spec
 from repro.scenarios.spec import (
     FleetSpec,
@@ -220,6 +221,29 @@ def test_reports_identical_across_pool_sizes():
             assert result.reports[index] == report, (
                 f"point {index} report diverged at pool {pool_size}"
             )
+
+
+def test_row_digests_match_the_asdict_oracle():
+    """Rows hash the same canonical JSON as the original ``asdict``
+    digest, on an SLO sweep whose points shed and reject as well."""
+    base = dataclasses.replace(
+        small_base(deadline_layers=60.0),
+        policy=PolicySpec(max_queue_depth=3, shed_expired=True),
+    )
+    sweep = SweepSpec(
+        base=base,
+        axes=(
+            ("policy.admission", ("fifo", "edf")),
+            ("workload.mean_interarrival", (1.0, 6.0)),
+        ),
+        name="slo",
+    )
+    result = run_sweep(sweep, pool_size=0, keep_reports=True)
+    assert result.reports is not None
+    assert any(report.rejected for report in result.reports.values())
+    for row in result.rows:
+        report = result.reports[row["point"]]
+        assert row["report_digest"] == oracle_digest(report)
 
 
 def test_jsonl_bytes_identical_across_pool_sizes(tmp_path):
