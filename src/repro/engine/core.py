@@ -42,8 +42,10 @@ shared memory under live contention needs:
   queued work onto fresh replicas;
 * **streaming telemetry** — every served / rejected / window / scale
   record flows through a :class:`~repro.metrics.sinks.RecordSink` chosen
-  by the engine's ``retention`` mode *and* the online
-  :class:`~repro.metrics.streaming.StreamingServiceAggregator`, so
+  by the engine's ``retention`` mode; under ``"sampled"`` / ``"none"``
+  it also feeds the online
+  :class:`~repro.metrics.streaming.StreamingServiceAggregator` (full
+  retention summarizes its retained records once, at the end), so
   ``retention="none"`` serves million-query workloads in memory
   independent of request count while still reporting full
   :class:`~repro.metrics.service_stats.ServiceStats`; a periodic
@@ -500,16 +502,20 @@ class ServiceEngine:
         self._start_events = [WindowStart(shard) for shard in range(num_shards)]
         self._drain_events = [WindowDrain(shard) for shard in range(num_shards)]
         self._think_events: dict[int, ClientThink] = {}
-        # The observation path: per-stream sinks + the online aggregates.
+        # The observation path: per-stream sinks, plain counters (what
+        # conservation and the empty-run check read) and, unless records
+        # are fully retained, the online aggregates.  Full retention
+        # summarizes its canonical-order records once at the end, so an
+        # online aggregator would be a second pass over every record.
         self._served_sink = self._make_sink(0)
         self._window_sink = self._make_sink(1)
         self._rejected_sink = self._make_sink(2)
         self._scale_sink = self._make_sink(3)
-        # Full retention summarizes the retained records at the end, so
-        # its online aggregator keeps exact latencies instead of paying
-        # for P² sketches nobody reads.
-        self._aggregator = StreamingServiceAggregator(
-            exact=self.retention == "full"
+        self._served_count = 0
+        self._rejected_count = 0
+        self._shed_count = 0
+        self._aggregator: StreamingServiceAggregator | None = (
+            None if self.retention == "full" else StreamingServiceAggregator()
         )
         # Traffic events (arrivals / thinks / window starts / drains) still
         # in the heap — the liveness signal recurring ticks (ScaleCheck,
@@ -695,9 +701,8 @@ class ServiceEngine:
         merge reconstructs, so a partitioned report can be compared to the
         oracle field by field.
         """
-        served_count = self._aggregator.served_count
-        if not served_count:
-            offered = self._aggregator.rejected_count
+        if not self._served_count:
+            offered = self._rejected_count
             if offered:
                 raise ValueError(
                     f"no queries were served: all {offered} offered requests "
@@ -716,9 +721,10 @@ class ServiceEngine:
         scale_events = (
             list(self._scale_sink.records) if self.retention != "none" else []
         )
-        if self.retention == "full":
-            # Canonical (completion) order fixes the summation order, so
-            # the stats are independent of event interleaving.
+        if self._aggregator is None:
+            # Full retention: canonical (completion) order fixes the
+            # summation order, so the stats are independent of event
+            # interleaving.
             stats = summarize_service(
                 served,
                 windows,
@@ -784,7 +790,9 @@ class ServiceEngine:
     # ------------------------------------------------------------ recording
     def _record_served(self, record: ServedQuery) -> None:
         self._served_sink.append(record)
-        self._aggregator.observe_served(record)
+        self._served_count += 1
+        if self._aggregator is not None:
+            self._aggregator.observe_served(record)
         if self.sink is not None:
             self.sink.append(record)
         self._tick_served += 1
@@ -795,18 +803,22 @@ class ServiceEngine:
 
     def _record_window(self, record: WindowRecord) -> None:
         self._window_sink.append(record)
-        self._aggregator.observe_window(record)
+        if self._aggregator is not None:
+            self._aggregator.observe_window(record)
         if self.sink is not None:
             self.sink.append(record)
         self._tick_windows += 1
 
     def _record_rejected(self, record: RejectedQuery) -> None:
         self._rejected_sink.append(record)
-        self._aggregator.observe_rejected(record)
+        self._rejected_count += 1
+        if self._aggregator is not None:
+            self._aggregator.observe_rejected(record)
         if self.sink is not None:
             self.sink.append(record)
         self._tick_rejected += 1
         if record.reason == REJECT_DEADLINE_EXPIRED:
+            self._shed_count += 1
             self._tick_shed += 1
 
     def _record_scale(self, record: ScaleEvent) -> None:
@@ -1182,17 +1194,17 @@ class ServiceEngine:
         a flavor of rejection).  Checked on every :class:`WindowDrain` and
         at end of run.
         """
-        served = self._aggregator.served_count
-        rejected = self._aggregator.rejected_count
+        served = self._served_count
+        rejected = self._rejected_count
         queued = sum(len(queue) for queue in self._queues)
         if self._offered != served + rejected + queued:
             raise SanitizerViolation(
                 f"conservation broken at t={now}: offered={self._offered} "
                 f"!= served={served} + rejected={rejected} + queued={queued}"
             )
-        if self._aggregator.shed_count > rejected:
+        if self._shed_count > rejected:
             raise SanitizerViolation(
-                f"shed count {self._aggregator.shed_count} exceeds rejected "
+                f"shed count {self._shed_count} exceeds rejected "
                 f"count {rejected} at t={now}"
             )
 

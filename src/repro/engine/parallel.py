@@ -103,7 +103,11 @@ class _ShardOutcome:
     rejected: list[RejectedQuery]
     outputs: dict[int, dict[tuple[int, int], complex]]
     max_depth: int
-    aggregator: StreamingServiceAggregator
+    served_count: int
+    rejected_count: int
+    #: The online aggregates; ``None`` under full retention, whose stats
+    #: the parent summarizes from the merged records.
+    aggregator: StreamingServiceAggregator | None
     telemetry_raw: list[_RawInterval]
     profile: StageProfile | None = None
 
@@ -165,6 +169,8 @@ def _run_shard(
         rejected=list(child._rejected_sink.records) if retained else [],
         outputs=dict(child._outputs),
         max_depth=child._max_depth.get(shard, 0),
+        served_count=child._served_count,
+        rejected_count=child._rejected_count,
         aggregator=child._aggregator,
         telemetry_raw=list(child._telemetry_raw),
         profile=(
@@ -363,12 +369,12 @@ def run_partitioned(
 
     outcomes.sort(key=lambda outcome: outcome.shard)
     offered_total = sum(outcome.offered for outcome in outcomes)
-    served_total = sum(outcome.aggregator.served_count for outcome in outcomes)
-    rejected_total = sum(outcome.aggregator.rejected_count for outcome in outcomes)
+    served_total = sum(outcome.served_count for outcome in outcomes)
+    rejected_total = sum(outcome.rejected_count for outcome in outcomes)
     if engine.sanitize:
         for outcome in outcomes:
-            part_served = outcome.aggregator.served_count
-            part_rejected = outcome.aggregator.rejected_count
+            part_served = outcome.served_count
+            part_rejected = outcome.rejected_count
             if outcome.offered != part_served + part_rejected:
                 raise SanitizerViolation(
                     f"partition conservation broken on shard {outcome.shard}: "
@@ -434,7 +440,11 @@ def run_partitioned(
         )
     else:
         merged = merge_service_aggregators(
-            [outcome.aggregator for outcome in outcomes]
+            [
+                outcome.aggregator
+                for outcome in outcomes
+                if outcome.aggregator is not None
+            ]
         )
         stats = merged.to_stats(max_depth, clops=clops)
 

@@ -244,7 +244,13 @@ class ForkWorkerPool:
             assert not worker.inflight
             self._retire(worker)
             worker = self._workers[slot] = self._spawn()
-        worker.task_conn.send((task_id, payload))
+        try:
+            worker.task_conn.send((task_id, payload))
+        except BrokenPipeError:
+            # The worker died before this send; its result pipe reports
+            # EOF on the next collect, which fails every task it owes —
+            # this one included — exactly as if it had died after.
+            pass
         worker.tasks_started += 1
         worker.inflight.append(task_id)
 

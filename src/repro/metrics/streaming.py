@@ -1,20 +1,23 @@
 """Serving statistics, aggregated one record at a time.
 
 Every :class:`~repro.metrics.service_stats.ServiceStats` is computed here.
-The engine folds each :class:`~repro.metrics.service_stats.ServedQuery`,
+Under ``retention="sampled"`` / ``"none"`` the engine folds each
+:class:`~repro.metrics.service_stats.ServedQuery`,
 :class:`~repro.metrics.service_stats.WindowRecord` and
 :class:`~repro.metrics.service_stats.RejectedQuery` into a
-:class:`StreamingServiceAggregator` the moment it is produced;
-:func:`summarize_service` folds complete record lists through the same
-aggregator.  Counts, sums, means and extrema are exact in every mode; only
-the latency percentiles depend on how the aggregator was built:
+:class:`StreamingServiceAggregator` the moment it is produced; under
+``retention="full"`` it aggregates nothing online and
+:func:`summarize_service` folds the retained, canonical-order record lists
+through the same aggregator once, at the end.  Counts, sums, means and
+extrema are exact in every mode; only the latency percentiles depend on
+how the aggregator was built:
 
-* ``exact=True`` (``retention="full"`` and :func:`summarize_service`)
-  retains the latencies and reports exact order statistics;
-* ``exact=False`` (``retention="sampled"`` / ``"none"``) keeps P²
-  sketches, so memory is O(tenants + shards + backends), never
-  O(requests): a million-query run aggregates through the same few
-  kilobytes as a hundred-query run.
+* ``exact=True`` (used only by :func:`summarize_service`) retains the
+  latencies and reports exact order statistics;
+* ``exact=False`` (the engine's online aggregator) keeps P² sketches, so
+  memory is O(tenants + shards + backends), never O(requests): a
+  million-query run aggregates through the same few kilobytes as a
+  hundred-query run.
 
 Building blocks:
 
@@ -527,10 +530,11 @@ def _weighted_percentile(
 class StreamingServiceAggregator:
     """The full :class:`ServiceStats` surface, maintained one record at a time.
 
-    The engine feeds every :class:`ServedQuery`, :class:`WindowRecord` and
-    :class:`RejectedQuery` through :meth:`observe_served` /
-    :meth:`observe_window` / :meth:`observe_rejected`;
-    :meth:`to_stats` materializes a :class:`ServiceStats` whose counts,
+    The engine (under sampled / no retention) and
+    :func:`summarize_service` feed every :class:`ServedQuery`,
+    :class:`WindowRecord` and :class:`RejectedQuery` through
+    :meth:`observe_served` / :meth:`observe_window` /
+    :meth:`observe_rejected`; :meth:`to_stats` materializes a :class:`ServiceStats` whose counts,
     sums, means, extrema and rates are exact.  The latency percentiles
     (global p50/p95/p99 and per-tenant p95) are exact order statistics
     with ``exact=True``, which retains one latency per served record

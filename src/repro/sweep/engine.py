@@ -40,6 +40,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import operator
 import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -87,7 +88,8 @@ METRIC_FIELDS = (
 def _canonical(value: Any) -> Any:
     """JSON-serializable canonical form of report content.
 
-    Dataclasses flatten to dicts upstream; here tuples become
+    Dataclass instances become field dicts (``dataclasses.asdict``'s
+    shape, without its deep copy), tuples become
     lists, complex amplitudes become ``[real, imag]`` pairs, and dicts
     with non-string keys (per-tenant/per-shard tables, output
     amplitudes) become key-sorted pair lists so the canonical JSON is
@@ -105,7 +107,21 @@ def _canonical(value: Any) -> Any:
         return [_canonical(item) for item in value]
     if isinstance(value, complex):
         return [value.real, value.imag]
+    if hasattr(type(value), "__dataclass_fields__"):
+        return {
+            name: _canonical(getattr(value, name))
+            for name in _field_names(type(value))
+        }
     return value
+
+
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, built once.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _dumps(value: Any) -> str:
+    """Canonical JSON text of ``value`` (the encoding every digest uses)."""
+    return _ENCODER.encode(_canonical(value))
 
 
 @functools.cache
@@ -113,14 +129,67 @@ def _field_names(record_type: type[Any]) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(record_type))
 
 
-def _flat_records(records: Sequence[Any]) -> list[dict[str, Any]]:
-    """``[dataclasses.asdict(r) for r in records]`` for records whose
-    fields are all scalars (served, window, rejection and scale records):
-    the same dicts, without ``asdict``'s recursive deep copy."""
-    return [
-        {name: getattr(record, name) for name in _field_names(type(record))}
-        for record in records
-    ]
+@functools.cache
+def _record_layout(
+    record_type: type[Any],
+) -> tuple[operator.attrgetter[Any], str]:
+    """A record type's field getter (sorted-key order) and ``%s`` template.
+
+    The template is the record's canonical JSON object with every value
+    replaced by ``%s``: its pre-encoded ``"name":`` keys appear in the
+    sorted order ``json.dumps(..., sort_keys=True)`` emits them.
+    """
+    names = sorted(_field_names(record_type))
+    template = ",".join(json.dumps(name) + ":%s" for name in names)
+    return operator.attrgetter(*names), "{" + template + "}"
+
+
+#: Column values of exactly these types encode as JSON numbers or ``null``,
+#: whose text never contains a ``,``.
+_NUMBER_TYPES = frozenset({int, float, type(None)})
+
+
+def _encode_column(column: tuple[Any, ...]) -> list[str]:
+    """Canonical JSON text of each value of one record field."""
+    if set(map(type, column)) <= _NUMBER_TYPES:
+        # One encoder call for the whole column; comma-free values split
+        # back into exactly the per-value texts.
+        return _ENCODER.encode(column)[1:-1].split(",")
+    texts: list[str] = []
+    strings: dict[str, str] = {}
+    for value in column:
+        if type(value) is str:
+            # Strings repeat (architecture, reason), and equal strings
+            # encode equally; other equal values need not (0.0 == -0.0).
+            text = strings.get(value)
+            if text is None:
+                text = strings[value] = _dumps(value)
+        else:
+            text = _dumps(value)
+        texts.append(text)
+    return texts
+
+
+def _encode_records(records: Sequence[Any]) -> str:
+    """Canonical JSON of a list of dataclass records, encoded by column.
+
+    Each column's value texts are exactly what encoding the value inside
+    the whole list would emit, and the record type's template places
+    them in sorted-key order, so the text is byte-identical to
+    ``_dumps(records)``.  Lists mixing record types, and single-field
+    types (whose getter returns a bare value), take that generic path.
+    """
+    if not records:
+        return "[]"
+    record_type = type(records[0])
+    if (
+        len(_field_names(record_type)) < 2
+        or set(map(type, records)) != {record_type}
+    ):
+        return _dumps(records)
+    getter, template = _record_layout(record_type)
+    columns = [_encode_column(column) for column in zip(*map(getter, records))]
+    return "[" + ",".join(map(template.__mod__, zip(*columns))) + "]"
 
 
 def report_digest(report: ServiceReport) -> str:
@@ -132,20 +201,30 @@ def report_digest(report: ServiceReport) -> str:
     equality does.  Two reports share a digest iff they compare equal,
     which is how sweep rows pin per-point bit-identity across pool sizes
     without shipping whole reports around.
+
+    The hashed text is the canonical JSON (sorted keys, no whitespace) of
+    one object holding those fields.  Indent-free JSON is compositional —
+    a value encodes to the same text wherever it sits — so each field is
+    encoded on its own and the object is assembled in sorted-key order.
+    The record streams are encoded by column (:func:`_encode_records`)
+    and dataclasses by a field walk (:func:`_canonical`), not through
+    ``dataclasses.asdict``'s deep copy.
+    ``tests/oracles/report_digest_asdict.py`` is the whole-object
+    ``dataclasses.asdict`` encoding this must equal byte for byte.
     """
-    payload = {
-        "served": _flat_records(report.served),
-        "windows": _flat_records(report.windows),
-        "stats": dataclasses.asdict(report.stats),
-        "outputs": report.outputs,
-        "rejected": _flat_records(report.rejected),
-        "scale_events": _flat_records(report.scale_events),
-        "telemetry": [dataclasses.asdict(r) for r in report.telemetry],
-        "retention": report.retention,
+    parts = {
+        "served": _encode_records(report.served),
+        "windows": _encode_records(report.windows),
+        "stats": _dumps(report.stats),
+        "outputs": _dumps(report.outputs),
+        "rejected": _encode_records(report.rejected),
+        "scale_events": _encode_records(report.scale_events),
+        "telemetry": _encode_records(report.telemetry),
+        "retention": _dumps(report.retention),
     }
-    text = json.dumps(
-        _canonical(payload), sort_keys=True, separators=(",", ":")
-    )
+    text = "{" + ",".join(
+        json.dumps(key) + ":" + parts[key] for key in sorted(parts)
+    ) + "}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -1,11 +1,11 @@
 """``dataclasses.asdict`` report digest: the reference for ``report_digest``.
 
 This is the original :func:`repro.sweep.engine.report_digest`, which
-flattens every record through ``dataclasses.asdict``.  Production builds
-the flat record streams (served, windows, rejected, scale events) from a
-cached field-name tuple per record type instead;
-``tests/test_stats_differential.py`` and ``tests/test_lazy_amplitudes.py``
-hold the two digests equal.
+flattens every record through ``dataclasses.asdict`` and encodes the whole
+payload in one ``json.dumps`` call.  Production encodes each field on its
+own and the record streams column by column;
+``tests/test_sweep.py``, ``tests/test_stats_differential.py`` and
+``tests/test_lazy_amplitudes.py`` hold the two digests equal.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.engine.core as engine_core
+import repro.engine.parallel as engine_parallel
 from repro import (
     AutoscalerConfig,
     ClosedLoopClient,
@@ -21,6 +23,7 @@ from repro.engine.events import (
     WindowStart,
 )
 from repro.metrics.service_stats import REJECT_DEADLINE_EXPIRED, REJECT_QUEUE_FULL
+from repro.metrics.streaming import StreamingServiceAggregator
 from repro.scheduling.events import random_arrivals
 from repro.workloads import (
     closed_loop_source,
@@ -712,3 +715,50 @@ def test_rebalance_never_moves_slo_traffic_to_infeasible_replicas():
     # Everything stayed on the encoded replica.
     assert {r.shard for r in report.served} == {0}
     assert all(r.architecture == "Fat-Tree@d3" for r in report.served)
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_full_retention_aggregates_each_record_once(monkeypatch, workers):
+    """Under full retention the only aggregation pass is the end-of-run
+    ``summarize_service`` over the retained records: one ``observe_*``
+    call per served, window and rejected record, none outside it
+    (``workers=1`` runs the partitioned path in process, so its shard
+    engines are counted too)."""
+    calls = {"served": 0, "window": 0, "rejected": 0, "outside": 0}
+    summarizing = []
+    for kind in ("served", "window", "rejected"):
+        method = getattr(StreamingServiceAggregator, f"observe_{kind}")
+
+        def counted(self, record, _method=method, _kind=kind):
+            calls[_kind if summarizing else "outside"] += 1
+            _method(self, record)
+
+        monkeypatch.setattr(StreamingServiceAggregator, f"observe_{kind}", counted)
+    for module in (engine_core, engine_parallel):
+        def summarize(*args, _summarize=module.summarize_service, **kwargs):
+            summarizing.append(True)
+            try:
+                return _summarize(*args, **kwargs)
+            finally:
+                summarizing.pop()
+
+        monkeypatch.setattr(module, "summarize_service", summarize)
+    capacity = 16
+    requests = poisson_trace(
+        capacity, 60, mean_interarrival=2.0, num_shards=2, seed=4,
+        deadline_layers=80.0,
+    )
+    engine = ServiceEngine(
+        QRAMService(capacity, num_shards=2, functional=False),
+        max_queue_depth=8,
+        shed_expired=True,
+        workers=workers,
+    )
+    report = engine.run(TraceSource(requests))
+    assert report.stats.rejected_queries and report.stats.shed_queries
+    assert calls == {
+        "served": len(report.served),
+        "window": len(report.windows),
+        "rejected": len(report.rejected),
+        "outside": 0,
+    }

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.engine.parallel as parallel
 from repro.core.query import QueryRequest
 from repro.engine import (
     AutoscalerConfig,
@@ -102,6 +103,42 @@ def test_workers_bit_identical_with_backpressure_and_deadlines():
     for workers in (1, 3):
         report = _serve(_service(), requests, workers=workers, **kwargs)
         assert report == oracle
+
+
+@pytest.mark.parametrize("retention", ["full", "sampled"])
+def test_shard_outcomes_carry_an_aggregator_only_when_sketching(
+    monkeypatch, retention
+):
+    """Full-retention shard outcomes ship counters and records but no
+    aggregator (the parent summarizes the merged records once), and the
+    merged report still equals the serial oracle; sketching retention
+    ships each shard's online aggregator for the merge."""
+    outcomes = []
+    run_shard = parallel._run_shard
+
+    def capture(*args):
+        outcome = run_shard(*args)
+        outcomes.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(parallel, "_run_shard", capture)
+    requests = _trace(mean_interarrival=1.0, deadline_layers=600.0)
+    kwargs = dict(
+        max_queue_depth=2, shed_expired=True, retention=retention, sample_size=16
+    )
+    oracle = _serve(_service(), requests, workers=0, **kwargs)
+    report = _serve(_service(), requests, workers=1, **kwargs)
+    assert report.parallel is not None and report.parallel.fallback_reason is None
+    assert len(outcomes) == NUM_SHARDS
+    for outcome in outcomes:
+        assert (outcome.aggregator is None) == (retention == "full")
+    assert sum(o.served_count for o in outcomes) == oracle.stats.total_queries
+    assert sum(o.rejected_count for o in outcomes) == (
+        oracle.stats.offered_queries - oracle.stats.total_queries
+    )
+    if retention == "full":
+        assert report == oracle
+        assert report == _serve(_service(), requests, workers=2, **kwargs)
 
 
 def test_streaming_retention_worker_count_invariant():

@@ -123,6 +123,15 @@ def test_lost_served_records_break_conservation():
         engine.run(TraceSource(_trace()))
 
 
+def test_uncounted_served_record_breaks_conservation():
+    # The record is retained but never counted: conservation reads the
+    # engine's own served counter, not the sink, so it still fires.
+    engine = ServiceEngine(_service(), sanitize=True, workers=0)
+    engine._record_served = lambda record: engine._served_sink.append(record)
+    with pytest.raises(SanitizerViolation, match="conservation"):
+        engine.run(TraceSource(_trace()))
+
+
 def test_window_admission_on_busy_shard_detected():
     # workers=0 here and below: these tests reach into the oracle engine's
     # internals, which a REPRO_WORKERS-partitioned run never populates.

@@ -16,9 +16,22 @@ import dataclasses
 import json
 import random
 
+import numpy as np
 import pytest
 
 from oracles.report_digest_asdict import report_digest as oracle_digest
+from repro.engine.core import ServiceReport
+from repro.metrics.service_stats import (
+    BackendStats,
+    RejectedQuery,
+    ScaleEvent,
+    ServedQuery,
+    ServiceStats,
+    ShardStats,
+    TenantStats,
+    WindowRecord,
+)
+from repro.metrics.streaming import IntervalStats
 from repro.scenarios.fuzz import draw_spec
 from repro.scenarios.spec import (
     FleetSpec,
@@ -37,6 +50,7 @@ from repro.sweep import (
     frontier_report,
     objective_vector,
     pareto_frontier,
+    report_digest,
     run_sweep,
 )
 
@@ -244,6 +258,151 @@ def test_row_digests_match_the_asdict_oracle():
     for row in result.rows:
         report = result.reports[row["point"]]
         assert row["report_digest"] == oracle_digest(report)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Flagged:
+    """A record type with a ``bool`` field and an arbitrary payload."""
+
+    flag: bool
+    value: object
+
+
+@dataclasses.dataclass(frozen=True)
+class _Single:
+    """A single-field record type."""
+
+    x: float
+
+
+def _stats(**overrides) -> ServiceStats:
+    fields = dict(
+        total_queries=2,
+        makespan_layers=-0.0,
+        mean_latency_layers=float("nan"),
+        mean_queue_delay_layers=float("inf"),
+        bandwidth_queries_per_sec=1e300,
+        per_tenant={
+            0: TenantStats(0, 2, 1.5, 2.0, 0.25, 3.0, mean_fidelity=None),
+        },
+        per_shard={
+            1: ShardStats(1, 2, 1, 2.0, 4.0, 0.5, 3, architecture="Fat,Tree"),
+        },
+        per_backend={
+            "é,\"": BackendStats("é,\"", 1, 2, 1, 2.0, 1.5, 0.25, 4.0, 3.0),
+        },
+    )
+    fields.update(overrides)
+    return ServiceStats(**fields)
+
+
+def _served(query_id: int, **overrides) -> ServedQuery:
+    fields = dict(
+        query_id=query_id,
+        tenant=query_id % 3,
+        shard=query_id % 2,
+        request_time=float(query_id),
+        admit_layer=query_id + 0.5,
+        start_layer=query_id + 0.75,
+        finish_layer=query_id + 2.0,
+        architecture="Fat-Tree",
+    )
+    fields.update(overrides)
+    return ServedQuery(**fields)
+
+
+def _encoder_reports() -> dict[str, ServiceReport]:
+    """Hand-built reports probing every branch of the column encoder."""
+    tricky = ['a,b', 'say "hi"', "back\\slash", "naïve ∑ 量子", "", "%s %%"]
+    nan, inf = float("nan"), float("inf")
+    return {
+        "strings": ServiceReport(
+            served=[
+                _served(i, architecture=text)
+                for i, text in enumerate(tricky * 2)
+            ],
+            windows=[
+                WindowRecord(i, 1.0 * i, 2, 3, 4.0, architecture=text)
+                for i, text in enumerate(tricky)
+            ],
+            stats=_stats(),
+            rejected=[
+                RejectedQuery(i, 0, 1, 2.0, reason=text)
+                for i, text in enumerate(tricky)
+            ],
+            scale_events=[
+                ScaleEvent(1.0, text, 0, 2, 5) for text in tricky
+            ],
+            retention="f,u\"ll",
+        ),
+        "special_floats": ServiceReport(
+            served=[
+                _served(0, request_time=-0.0, fidelity=nan, deadline=inf),
+                _served(1, request_time=0.0, fidelity=-inf, deadline=-0.0),
+                _served(2, admit_layer=1e-320, finish_layer=1.7976931348623157e308),
+            ],
+            windows=[WindowRecord(0, nan, 1, 1, -inf)],
+            stats=_stats(makespan_layers=nan),
+            telemetry=[
+                IntervalStats(0.0, -0.0, 1, 1, 0, 0, 1, nan, 0, 0, inf, None),
+                IntervalStats(-0.0, 1.0, 2, 1, 1, 1, 1, 0.5, 3, 2, 0.5, -inf),
+            ],
+        ),
+        "none_and_int_in_float_columns": ServiceReport(
+            served=[
+                _served(0, request_time=3, fidelity=None, min_fidelity=1),
+                _served(1, request_time=3.0, fidelity=1, min_fidelity=None),
+                _served(2, request_time=10**30, fidelity=0.5),
+            ],
+            windows=[WindowRecord(0, 0, 1, 1, 7), WindowRecord(1, 0.5, 1, 1, 7.0)],
+            stats=_stats(total_queries=3, makespan_layers=7),
+            rejected=[
+                RejectedQuery(0, 0, 0, 1, "queue_full", deadline=None),
+                RejectedQuery(1, 0, 0, 1.0, "queue_full", deadline=4),
+            ],
+        ),
+        "bool_and_numpy": ServiceReport(
+            served=[
+                _served(0, distillation_copies=True, fidelity=np.float64(0.1)),
+                _served(1, distillation_copies=1, fidelity=np.float64(-0.0)),
+                _served(2, distillation_copies=False, fidelity=0.0),
+            ],
+            windows=[
+                WindowRecord(0, np.float64(2.5), 2, 1, 3.0),
+                WindowRecord(1, 2.5, 2, 1, 3.0),
+            ],
+            stats=_stats(mean_latency_layers=np.float64(1.25)),
+            scale_events=[
+                _Flagged(True, 1.0),
+                _Flagged(False, (1, 2.5)),
+                _Flagged(True, {2: 1j, 1: _Single(0.5)}),
+                _Flagged(1, "x,y"),
+                _Flagged(0, None),
+            ],
+        ),
+        "mixed_single_and_empty": ServiceReport(
+            served=[_served(0), RejectedQuery(1, 0, 0, 2.0, "shed")],
+            windows=[_Single(1.0), _Single(-0.0), _Single(nan)],
+            stats=_stats(per_tenant={}, per_shard={}, per_backend={}),
+            outputs={3: {(1, 0): 0.5 + 0.5j, (0, 1): -0.0j}},
+            rejected=[],
+            scale_events=[],
+            telemetry=[],
+            retention="none",
+        ),
+        "all_empty": ServiceReport(served=[], windows=[], stats=_stats()),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_encoder_reports()))
+def test_column_encoder_matches_the_asdict_oracle(case):
+    """The column-wise digest encoder is byte-identical to the whole-report
+    ``asdict`` encoding on values that stress JSON: separators and escapes
+    inside strings, non-finite and signed-zero floats, ``None`` and ``int``
+    in float columns, ``bool`` and numpy scalars, nested and mixed records,
+    single-field types and empty streams."""
+    report = _encoder_reports()[case]
+    assert report_digest(report) == oracle_digest(report)
 
 
 def test_jsonl_bytes_identical_across_pool_sizes(tmp_path):

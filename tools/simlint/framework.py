@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from tools.simlint.astutil import attach_parents, is_self_attribute
 
@@ -110,6 +111,9 @@ class Project:
 
     def __init__(self, modules: list[ModuleInfo]) -> None:
         self.modules = modules
+        # Cross-module indexes a rule derives once per project and shares
+        # between its checks (keyed by the building rule's name).
+        self.indexes: dict[str, Any] = {}
         self.classes: dict[str, ClassDecl] = {}
         for module in modules:
             for node in ast.walk(module.tree):

@@ -104,41 +104,58 @@ def _module_globals(tree: ast.Module) -> list[tuple[str, ast.stmt, str]]:
     return out
 
 
+def _subscripted_name(target: ast.AST) -> str | None:
+    """``name`` when ``target`` is ``name[...]``."""
+    if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
+        return target.value.id
+    return None
+
+
+def _mutated_names(node: ast.AST) -> list[str]:
+    """Global names ``node`` mutates, once per mutating target."""
+    targets: list[ast.expr]
+    if isinstance(node, ast.AugAssign):
+        targets = [node.target]
+    elif isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _MUTATOR_METHODS
+        and isinstance(node.func.value, ast.Name)
+    ):
+        return [node.func.value.id]
+    elif isinstance(node, ast.Global):
+        return list(dict.fromkeys(node.names))
+    else:
+        return []
+    return [
+        name for name in map(_subscripted_name, targets) if name is not None
+    ]
+
+
+def _mutation_index(
+    project: Project,
+) -> dict[str, list[tuple[ModuleInfo, ast.AST]]]:
+    """Name -> mutation sites, built in one walk of the project.
+
+    Sites keep module order, then ``ast.walk`` order, so each name's list
+    (and its first site, which findings cite) matches a per-name walk.
+    """
+    index = project.indexes.get("SIM005")
+    if index is None:
+        index = {}
+        for module in project.modules:
+            for node in ast.walk(module.tree):
+                for name in _mutated_names(node):
+                    index.setdefault(name, []).append((module, node))
+        project.indexes["SIM005"] = index
+    return index
+
+
 def _mutations_of(project: Project, name: str) -> list[tuple[ModuleInfo, ast.AST]]:
     """Every site in the scanned tree that mutates global ``name``."""
-    sites = []
-    for module in project.modules:
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Subscript)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == name
-                    ):
-                        sites.append((module, node))
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Subscript)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == name
-                    ):
-                        sites.append((module, node))
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATOR_METHODS
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == name
-            ):
-                sites.append((module, node))
-            elif isinstance(node, ast.Global) and name in node.names:
-                sites.append((module, node))
-    return sites
+    return _mutation_index(project).get(name, [])
 
 
 @register
