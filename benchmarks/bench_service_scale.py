@@ -3,13 +3,13 @@
 The scale proof for the serving core, in two measurements:
 
 * **Bounded memory** — a >= 1,000,000-request open-loop Poisson trace is
-  generated lazily (``iter_poisson_trace``), fed through a
-  :class:`~repro.engine.StreamingTraceSource` and served with
+  generated lazily (``iter_poisson_trace``) by the factory of a
+  :class:`~repro.engine.TraceSource` and served with
   ``retention="none"`` — no per-request records, no materialized trace,
   no arrival backlog in the event heap; peak traced memory is *asserted*
   independent of request count.
-* **Workers axis** — the same lazy trace, wrapped in a
-  :class:`~repro.engine.PartitionedTraceSource` over an 8-shard fleet and
+* **Workers axis** — the same kind of factory-backed
+  :class:`~repro.engine.TraceSource` over an 8-shard fleet,
   served at ``workers`` = 1 / 2 / 4 / 8: every worker regenerates only
   its partition, the merged reports must compare equal across worker
   counts, and the wall-clock speedup against ``workers=1`` is recorded
@@ -58,7 +58,7 @@ from pathlib import Path
 
 import repro.engine.parallel
 import repro.perf.profiler
-from repro.engine import PartitionedTraceSource, StreamingTraceSource
+from repro.engine import TraceSource
 from repro.service import QRAMService
 from repro.workloads import iter_poisson_trace
 
@@ -132,18 +132,22 @@ NON_NULL_KEYS = (
 
 def _serve(num_requests: int, telemetry_interval: float | None = None):
     """One bounded-memory open-loop run: lazy trace, no record retention."""
-    trace = iter_poisson_trace(
-        CAPACITY,
-        num_requests,
-        mean_interarrival=MEAN_INTERARRIVAL,
-        addresses_per_query=1,
-        num_tenants=NUM_TENANTS,
-        num_shards=NUM_SHARDS,
-        seed=SEED,
-    )
+
+    def factory(shards):
+        return iter_poisson_trace(
+            CAPACITY,
+            num_requests,
+            mean_interarrival=MEAN_INTERARRIVAL,
+            addresses_per_query=1,
+            num_tenants=NUM_TENANTS,
+            num_shards=NUM_SHARDS,
+            seed=SEED,
+            shards=shards,
+        )
+
     service = QRAMService(CAPACITY, num_shards=NUM_SHARDS, functional=False)
     return service.serve_workload(
-        StreamingTraceSource(trace),
+        TraceSource(factory=factory),
         retention="none",
         telemetry_interval=telemetry_interval,
     )
@@ -179,7 +183,7 @@ def check_bounded_memory(small: int, large: int) -> tuple[int, int]:
     return peak_small, peak_large
 
 
-def _parallel_source(num_requests: int) -> PartitionedTraceSource:
+def _parallel_source(num_requests: int) -> TraceSource:
     """The workers-axis trace: each worker regenerates only its shards."""
 
     def factory(shards):
@@ -194,7 +198,7 @@ def _parallel_source(num_requests: int) -> PartitionedTraceSource:
             shards=shards,
         )
 
-    return PartitionedTraceSource(factory)
+    return TraceSource(factory=factory)
 
 
 def _serve_parallel(num_requests: int, workers: int):
@@ -337,7 +341,7 @@ def test_service_scale_workers_axis(benchmark):
     except ImportError:  # pragma: no cover - direct invocation
         return
     print_rows(
-        "Partitioned parallel serving — PartitionedTraceSource, 8 shards",
+        "Partitioned parallel serving — factory-backed TraceSource, 8 shards",
         {
             f"workers_{row['workers']}_wall_seconds": row["wall_seconds"]
             for row in rows

@@ -56,12 +56,7 @@ from repro.bucket_brigade.qram import BucketBrigadeQRAM
 from repro.core.executor import FatTreeExecutor
 from repro.core.qram import FatTreeQRAM
 from repro.core.query import QueryRequest
-from repro.engine import (
-    AutoscalerConfig,
-    PartitionedTraceSource,
-    StreamingTraceSource,
-    TraceSource,
-)
+from repro.engine import AutoscalerConfig, TraceSource
 from repro.hardware.parameters import TABLE3_PARAMETERS
 from repro.scenarios import (
     FleetSpec,
@@ -401,14 +396,17 @@ def test_service_retention_axis(benchmark):
     capacity = 8
     num_queries = 5_000
 
-    def serve(retention):
-        trace = iter_poisson_trace(
+    def factory(shards):
+        return iter_poisson_trace(
             capacity, num_queries, mean_interarrival=14.0,
             addresses_per_query=1, num_tenants=4, num_shards=2, seed=5,
+            shards=shards,
         )
+
+    def serve(retention):
         service = QRAMService(capacity, num_shards=2, functional=False)
         return service.serve_workload(
-            StreamingTraceSource(trace), retention=retention,
+            TraceSource(factory=factory), retention=retention,
             telemetry_interval=10_000.0,
         )
 
@@ -476,7 +474,7 @@ def test_service_workers_axis(benchmark):
         service = QRAMService(capacity, num_shards=num_shards, functional=False)
         start = time.perf_counter()
         report = service.serve_workload(
-            PartitionedTraceSource(factory), workers=workers
+            TraceSource(factory=factory), workers=workers
         )
         results[workers] = (report, time.perf_counter() - start)
 
@@ -611,7 +609,7 @@ def test_fleet_build_precompiles_fidelity_vectors(benchmark):
         capacity, num_queries, mean_interarrival=14.0, addresses_per_query=1,
         num_tenants=4, num_shards=2, seed=5,
     )
-    report = service.serve_workload(StreamingTraceSource(trace))
+    report = service.serve_workload(TraceSource(trace))
     benchmark(lambda: report)
     served = registry.stats()
 

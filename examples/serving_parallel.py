@@ -9,8 +9,8 @@ discipline.  The merged report is *bit-identical* to ``workers=1`` and to
 the single-process oracle (``workers=0``) — this script asserts it, then
 shows the two supporting pieces:
 
-1. **PartitionedTraceSource** — workers regenerate only their own shard's
-   slice of a lazy trace (no full trace materialised anywhere);
+1. **factory-backed TraceSource** — workers regenerate only their own
+   shard's slice of a lazy trace (no full trace materialised anywhere);
 2. **ScheduleCacheRegistry** — compiled schedule executors are shared
    process-wide, prewarmed at fleet build and inherited copy-on-write by
    forked workers, so replicas of one memory image compile once;
@@ -21,8 +21,8 @@ shows the two supporting pieces:
 One :class:`repro.scenarios.ScenarioSpec` describes the whole experiment;
 the worker count is just ``RunSpec.workers``, so the sweep is
 ``dataclasses.replace`` on the ``run`` section and
-``WorkloadSpec(delivery="partitioned")`` is the lazy per-shard
-regeneration form.
+``WorkloadSpec(delivery="streaming")`` is the lazy form each worker
+regenerates per shard.
 
 Run with ``python examples/serving_parallel.py``.
 """
@@ -73,7 +73,7 @@ def lazy_partitioned_scenario() -> ScenarioSpec:
     return replace(
         base,
         name="parallel-lazy",
-        workload=replace(base.workload, delivery="partitioned"),
+        workload=replace(base.workload, delivery="streaming"),
         run=RunSpec(workers=2, retention="none"),
     )
 
@@ -129,8 +129,8 @@ def bit_identity() -> None:
 
 def partitioned_lazy_trace() -> None:
     report = SCENARIOS["lazy-partitioned"].execute()
-    print("PartitionedTraceSource: each worker regenerated only its shards' "
-          "arrivals")
+    print("factory-backed TraceSource: each worker regenerated only its "
+          "shards' arrivals")
     print(f"  served {report.stats.total_queries}/{QUERIES} with "
           f"retention='none' (streaming percentile merge), "
           f"p50 {report.stats.p50_latency_layers:.1f} layers")

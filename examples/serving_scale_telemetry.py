@@ -2,9 +2,8 @@
 
 A 2-shard Fat-Tree fleet drains a 20,000-query open-loop Poisson trace
 that is *never materialized*: ``WorkloadSpec(delivery="streaming")``
-yields one request at a time through a
-:class:`~repro.engine.StreamingTraceSource` feeding the engine one arrival
-ahead.  The engine runs with ``retention="none"`` — no per-request records
+builds a :class:`~repro.engine.TraceSource` over a trace factory, which
+yields one request at a time and feeds the engine one arrival ahead.  The engine runs with ``retention="none"`` — no per-request records
 are kept, the report's statistics come from the online aggregators in
 :mod:`repro.metrics.streaming` — and a periodic ``TelemetryTick`` emits
 one interval sample every 10,000 layers, so the run is observable *while

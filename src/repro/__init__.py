@@ -49,7 +49,6 @@ from repro.engine import (
     ClosedLoopSource,
     SanitizerViolation,
     ServiceEngine,
-    StreamingTraceSource,
     TraceSource,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "SANITIZE_ENV",
     "AutoscalerConfig",
     "TraceSource",
-    "StreamingTraceSource",
     "ClosedLoopClient",
     "ClosedLoopSource",
     "InterleavedShardMap",

@@ -1,11 +1,11 @@
 """Discrete-event serving engine: the one place virtual time advances.
 
-* :mod:`repro.engine.events` — typed events (:class:`Arrival`,
-  :class:`WindowStart`, :class:`WindowDrain`, :class:`ClientThink`,
-  :class:`ScaleCheck`) and the virtual-time :class:`EventHeap`.
+* :mod:`repro.engine.events` — typed events (:class:`ClientThink`,
+  :class:`WindowStart`, :class:`WindowDrain`, :class:`ScaleCheck`,
+  :class:`TelemetryTick`) and the virtual-time :class:`EventHeap`.
 * :mod:`repro.engine.workload` — the :class:`WorkloadSource` interface
-  unifying open-loop traces (:class:`TraceSource`, lazily via
-  :class:`StreamingTraceSource`) and closed-loop think-time clients
+  unifying open-loop traces (:class:`TraceSource`, from a materialized
+  list or a lazy trace factory) and closed-loop think-time clients
   (:class:`ClosedLoopSource`).
 * :mod:`repro.engine.core` — :class:`ServiceEngine` (SLO-aware admission,
   backpressure, elastic fleets, record retention modes and periodic
@@ -13,9 +13,9 @@
 * :mod:`repro.engine.partition` / :mod:`repro.engine.parallel` —
   partitioned parallel serving: ``ServiceEngine(workers=N)`` shards the
   fleet across forked worker processes and merges the events back
-  deterministically (bit-identical reports across worker counts);
-  :class:`PartitionedTraceSource` lets each worker regenerate just its
-  partition of a lazy trace.
+  deterministically (bit-identical reports across worker counts); a
+  factory-backed :class:`TraceSource` lets each worker regenerate just
+  its partition of a lazy trace.
 
 :meth:`repro.service.QRAMService.serve` is a thin wrapper over this engine;
 richer scenarios go through :meth:`~repro.service.QRAMService.serve_workload`.
@@ -30,7 +30,6 @@ from repro.engine.core import (
     ServiceReport,
 )
 from repro.engine.events import (
-    Arrival,
     ClientThink,
     Event,
     EventHeap,
@@ -43,14 +42,12 @@ from repro.engine.events import (
 )
 from repro.engine.partition import (
     ParallelRunInfo,
-    PartitionedTraceSource,
     partition_shards,
     partition_unsupported_reason,
 )
 from repro.engine.workload import (
     ClosedLoopClient,
     ClosedLoopSource,
-    StreamingTraceSource,
     TraceSource,
     WorkloadSource,
 )
@@ -62,12 +59,10 @@ __all__ = [
     "RETENTIONS",
     "WorkloadSource",
     "TraceSource",
-    "StreamingTraceSource",
     "ClosedLoopClient",
     "ClosedLoopSource",
     "EventHeap",
     "Event",
-    "Arrival",
     "ClientThink",
     "WindowStart",
     "WindowDrain",
@@ -77,7 +72,6 @@ __all__ = [
     "SANITIZE_ENV",
     "WORKERS_ENV",
     "ParallelRunInfo",
-    "PartitionedTraceSource",
     "partition_shards",
     "partition_unsupported_reason",
     "merge_sorted_records",

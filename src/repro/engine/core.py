@@ -16,10 +16,9 @@ shared memory under live contention needs:
 * **closed-loop clients** — a :class:`~repro.engine.workload.ClosedLoopSource`
   issues each client's next request only after its previous completion
   (think-time feedback), while :class:`~repro.engine.workload.TraceSource`
-  replays open-loop traces bit-for-bit like the legacy
-  ``QRAMService.serve`` loop and
-  :class:`~repro.engine.workload.StreamingTraceSource` pulls a lazy trace
-  one arrival at a time;
+  replays an open-loop trace — materialized or regenerated by a factory —
+  one arrival at a time, bit-for-bit like the legacy
+  ``QRAMService.serve`` loop;
 * **SLO-aware admission** — per-request deadlines (EDF ordering via
   ``policy="edf"``), bounded per-shard queues that reject on overflow, and
   optional shedding of queued requests whose deadline already expired, all
@@ -65,7 +64,6 @@ from typing import Any
 from repro.baselines.registry import build_backend
 from repro.core.query import ANY_SHARD, QueryRequest
 from repro.engine.events import (
-    Arrival,
     ClientThink,
     EventHeap,
     SanitizerViolation,
@@ -75,7 +73,7 @@ from repro.engine.events import (
     WindowStart,
 )
 from repro.engine.partition import ParallelRunInfo, partition_unsupported_reason
-from repro.engine.workload import WorkloadSource
+from repro.engine.workload import WorkloadSource, _SeenIds, check_request
 from repro.fidelity.distillation import distilled_infidelity
 from repro.metrics.service_stats import (
     REJECT_DEADLINE_EXPIRED,
@@ -159,40 +157,6 @@ def _distilled(fidelity: float, copies: int) -> float:
         return fidelity
     infidelity = min(1.0, max(0.0, 1.0 - fidelity))
     return 1.0 - distilled_infidelity(infidelity, copies)
-
-
-class _SeenIds:
-    """Exact duplicate detection that stays O(1) for monotone id streams.
-
-    The engine must refuse duplicate query ids, but a plain ``set`` grows
-    with the request count — the one bookkeeping structure that would
-    break bounded-memory serving.  Generators assign ids ``0, 1, 2, ...``
-    in arrival order, so this tracker keeps a *contiguous-prefix
-    watermark* (every id in ``[0, watermark]`` seen) plus a sparse
-    overflow set that drains back into the watermark as gaps fill.  For
-    the monotone streams every trace and closed-loop source produces, the
-    overflow set stays empty; arbitrary (sparse or out-of-order) ids
-    remain correct and merely fall back to set behaviour.
-    """
-
-    __slots__ = ("_watermark", "_sparse")
-
-    def __init__(self) -> None:
-        self._watermark = -1
-        self._sparse: set[int] = set()
-
-    def add(self, query_id: int) -> bool:
-        """Record one id; True when it was already seen."""
-        if 0 <= query_id <= self._watermark or query_id in self._sparse:
-            return True
-        self._sparse.add(query_id)
-        while self._watermark + 1 in self._sparse:
-            self._watermark += 1
-            self._sparse.discard(self._watermark)
-        return False
-
-    def __len__(self) -> int:
-        return (self._watermark + 1) + len(self._sparse)
 
 
 @dataclass(frozen=True)
@@ -450,11 +414,12 @@ class ServiceEngine:
         # Names of the methods the *previous* run's profiler wrapped (see
         # ``_reset``); only these are unwound, never unrelated overrides.
         self._profiled_wrapped: tuple[str, ...] = ()
-        # Child engines in parallel workers see a single shard's sparse id
-        # stream, which would blow the contiguous-prefix watermark of
-        # _SeenIds into a set; the parent validates the full dense stream
-        # instead and disables per-child dedup.
-        self._dedupe = True
+        # The shard a parallel worker's child engine serves (None on every
+        # other engine).  A child refuses arrivals routed elsewhere, and
+        # skips dedup: it sees a single shard's sparse id stream, which
+        # would blow the contiguous-prefix watermark of _SeenIds into a
+        # set, while the parent validates the full dense stream.
+        self._owned_shard: int | None = None
 
     # ------------------------------------------------------------------ run
     def _make_sink(self, stream: int) -> RecordSink:
@@ -486,7 +451,7 @@ class ServiceEngine:
         self._window_pending = [False] * num_shards
         self._active = [True] * num_shards
         self._max_depth = {shard: 0 for shard in range(num_shards)}
-        self._seen_ids = _SeenIds()
+        self._seen_ids = _SeenIds() if self._owned_shard is None else None
         self._local_amps: dict[int, Mapping[int, complex]] = {}
         self._copies: dict[int, int] = {}
         self._outputs: dict[int, dict[tuple[int, int], complex]] = {}
@@ -655,9 +620,6 @@ class ServiceEngine:
                 request = source.next_request(event.client_id, now)
                 if request is not None:
                     self._on_arrival(now, request)
-            elif cls is Arrival:
-                self._traffic_events -= 1
-                self._on_arrival(now, event.request)
             elif cls is WindowDrain:
                 self._traffic_events -= 1
                 self._maybe_start(event.shard, now)
@@ -751,25 +713,12 @@ class ServiceEngine:
         )
 
     # ----------------------------------------------- source-facing scheduling
-    def submit(self, request: QueryRequest) -> None:
-        """Schedule one request's arrival at its ``request_time``.
-
-        The arrival clock starts at 0: a negative ``request_time`` is
-        refused here (it would silently inflate every latency and
-        queue-delay statistic derived from it).  Validation of amplitudes
-        and duplicate ids happens when the arrival is processed — the one
-        path every request takes, trace or closed-loop.
-        """
-        if request.request_time < 0:
-            raise ValueError(
-                f"request {request.query_id} has negative request_time "
-                f"{request.request_time}; arrivals must be at time >= 0"
-            )
-        self._traffic_events += 1
-        self._heap.push(request.request_time, Arrival(request))
-
     def schedule_think(self, client_id: int, time: float) -> None:
-        """Schedule a closed-loop client's next issue instant.
+        """Schedule a client's next issue instant (every arrival's path).
+
+        Closed-loop clients call this after each completion; a
+        :class:`~repro.engine.workload.TraceSource` paces its one pending
+        request on it.
 
         Every arrival at an instant precedes its window admissions.  A
         think ending at the current instant after that arrival phase has
@@ -832,21 +781,19 @@ class ServiceEngine:
     # ------------------------------------------------------------- handlers
     def _on_arrival(self, now: float, request: QueryRequest) -> None:
         self._tick_arrivals += 1
-        if self._dedupe and self._seen_ids.add(request.query_id):
-            raise ValueError(
-                f"duplicate query_id {request.query_id} in trace; "
-                "query ids key the per-request results and must be unique"
-            )
-        if request.address_amplitudes is None:
-            raise ValueError("service requests require address amplitudes")
-        if request.min_fidelity is not None and not 0.0 < request.min_fidelity <= 1.0:
-            raise ValueError("min_fidelity must be in (0, 1]")
+        amplitudes = check_request(request, self._seen_ids)
         # Every validated arrival is "offered" — it must end up served,
         # rejected, or still queued (the conservation invariant the
         # sanitizer checks at every drain).
         self._offered += 1
-        amplitudes = request.address_amplitudes
         shard, local = self.fleet.shard_map.route(amplitudes)
+        if self._owned_shard is not None and shard != self._owned_shard:
+            raise ValueError(
+                f"query_id {request.query_id} routes to shard {shard} but "
+                f"arrived in shard {self._owned_shard}'s partition: a trace "
+                "factory called with shards=(s, ...) must yield only the "
+                "requests those shards own"
+            )
         if self.sanitize and type(amplitudes) is not dict:
             self._check_route(amplitudes, shard, local)
         if shard == ANY_SHARD:

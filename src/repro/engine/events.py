@@ -5,13 +5,11 @@ typed events.  Events at the same timestamp are ordered by a per-type
 priority so that one instant unfolds deterministically and exactly like the
 legacy batch-window loop did:
 
-1. :class:`Arrival` then :class:`ClientThink` — every request that arrives
-   at time ``t`` is enqueued before any window admits at ``t`` (a think
-   event *is* an arrival: the client issues its next request the moment its
-   think time elapses; a run uses one or the other, never both, so the
-   relative order between them is moot — but each event type still holds a
-   *unique* priority so the registry stays totally ordered, as simlint's
-   SIM004 enforces);
+1. :class:`ClientThink` — every request that arrives at time ``t`` is
+   enqueued before any window admits at ``t`` (every arrival is a think
+   event: a closed-loop client issues its next request the moment its
+   think time elapses, and an open-loop trace paces its next pending
+   request the same way);
 2. :class:`WindowDrain` — shards that finish at ``t`` free up before new
    windows are considered;
 3. :class:`ScaleCheck` — the autoscaler observes the post-drain queue
@@ -34,20 +32,11 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any, ClassVar, Union
 
-from repro.core.query import QueryRequest
-
-
-@dataclass(frozen=True)
-class Arrival:
-    """A request arrives at the service at its ``request_time``."""
-
-    request: QueryRequest
-    PRIORITY: ClassVar[int] = 0
-
 
 @dataclass(frozen=True)
 class ClientThink:
-    """A closed-loop client finishes thinking and issues its next request."""
+    """A client issues its next request (a closed-loop think time ends, or
+    an open-loop trace's pending request arrives)."""
 
     client_id: int
     PRIORITY: ClassVar[int] = 1
@@ -83,9 +72,7 @@ class TelemetryTick:
     PRIORITY: ClassVar[int] = 5
 
 
-Event = Union[
-    Arrival, ClientThink, WindowDrain, ScaleCheck, WindowStart, TelemetryTick
-]
+Event = Union[ClientThink, WindowDrain, ScaleCheck, WindowStart, TelemetryTick]
 
 
 class SanitizerViolation(AssertionError):

@@ -8,12 +8,13 @@ therefore factors exactly: running one child
 arrivals produces, shard by shard, the identical events the global heap
 would have interleaved.  This module exploits that factorization:
 
-1. **Partition** — the workload is split per shard: a materialized
-   :class:`~repro.engine.workload.TraceSource` is bucketed (and validated)
-   up front by :func:`~repro.engine.partition.split_trace`; a
-   :class:`~repro.engine.partition.PartitionedTraceSource` regenerates
-   each shard's requests inside the worker that serves it, so the parent
-   never materializes the trace.
+1. **Partition** — the workload is split per shard through
+   :meth:`~repro.engine.workload.TraceSource.shard_sources`, the one
+   partition hook of every open-loop source: a materialized trace is
+   bucketed (and validated) up front by
+   :func:`~repro.engine.workload.split_trace`; a trace factory is
+   re-invoked with each shard's filter inside the worker that serves it,
+   so the parent never materializes the trace.
 2. **Serve** — partitions run in up to N ``fork``-start worker processes
    (shards round-robin over workers).  Fork means nothing is pickled on
    the way in: workers inherit the fleet — including the prewarmed
@@ -51,18 +52,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING, Any
 
-from repro.core.query import QueryRequest
 from repro.engine.events import SanitizerViolation, merge_sorted_records
-from repro.engine.partition import (
-    ParallelRunInfo,
-    PartitionedTraceSource,
-    split_trace,
-)
+from repro.engine.partition import ParallelRunInfo
 from repro.engine.pool import ForkWorkerPool, fork_available
-from repro.engine.workload import StreamingTraceSource, TraceSource, WorkloadSource
+from repro.engine.workload import TraceSource, WorkloadSource
 from repro.metrics.service_stats import RejectedQuery, ServedQuery, WindowRecord
 from repro.metrics.streaming import (
     IntervalStats,
@@ -113,31 +108,20 @@ class _ShardOutcome:
 
 
 def _run_shard(
-    engine: ServiceEngine,
-    shard: int,
-    bucket: list[QueryRequest] | None,
-    partitioned: PartitionedTraceSource | None,
+    engine: ServiceEngine, shard: int, source: TraceSource
 ) -> _ShardOutcome | None:
     """Serve one shard's partition on a child engine; ``None`` when empty.
 
     The child drives the *full* fleet object (inherited copy-on-write
-    under fork, shared in-process otherwise): only its single-shard source
-    ever routes work to it, so every record naturally carries the global
-    shard id and no remapping is needed anywhere.  Duplicate-id detection
-    is disabled in the child — a single shard sees a sparse subsequence of
-    the global id stream, which the parent (or the partitioned factory's
-    strictly-increasing-id contract) already validates densely.
+    under fork, shared in-process otherwise) and owns one shard: every
+    record naturally carries the global shard id, so no remapping is
+    needed anywhere, and an arrival routed to any other shard is refused
+    (a trace factory that ignores its ``shards`` filter would otherwise
+    be served once per partition).  Duplicate-id detection is off in the
+    child — a single shard sees a sparse subsequence of the global id
+    stream, which the parent (or the factory's strictly-increasing-id
+    contract) already validates densely.
     """
-    source: WorkloadSource
-    if partitioned is not None:
-        stream = partitioned.shard_requests((shard,))
-        first = next(stream, None)
-        if first is None:
-            return None
-        source = StreamingTraceSource(chain((first,), stream))
-    else:
-        assert bucket is not None
-        source = TraceSource(bucket)
     from repro.engine.core import ServiceEngine as Engine
 
     child = Engine(
@@ -158,8 +142,10 @@ def _run_shard(
         workers=0,
         profile=engine.profile,
     )
-    child._dedupe = False
+    child._owned_shard = shard
     child._run_events(source)
+    if not child._offered:
+        return None
     retained = engine.retention != "none"
     return _ShardOutcome(
         shard=shard,
@@ -202,8 +188,7 @@ class _ShardError(Exception):
 def _run_forked(
     engine: ServiceEngine,
     groups: list[list[int]],
-    buckets: list[list[QueryRequest]] | None,
-    partitioned: PartitionedTraceSource | None,
+    sources: dict[int, TraceSource],
 ) -> tuple[list[_ShardOutcome], tuple[float, ...]]:
     """Run shard groups in forked pool workers; collect outcomes and timings.
 
@@ -220,12 +205,7 @@ def _run_forked(
         outcomes: list[_ShardOutcome] = []
         for shard in group:
             try:
-                outcome = _run_shard(
-                    engine,
-                    shard,
-                    buckets[shard] if buckets is not None else None,
-                    partitioned,
-                )
+                outcome = _run_shard(engine, shard, sources[shard])
             except BaseException as exc:
                 raise _ShardError(shard, exc) from None
             if outcome is not None:
@@ -329,19 +309,12 @@ def run_partitioned(
     """
     from repro.engine.core import ServiceReport as Report
 
+    # partition_unsupported_reason admits open-loop traces only.
+    assert isinstance(source, TraceSource)
     fleet = engine.fleet
     num_shards = len(fleet.shards)
-    partitioned: PartitionedTraceSource | None
-    buckets: list[list[QueryRequest]] | None
-    if isinstance(source, PartitionedTraceSource):
-        partitioned = source
-        buckets = None
-        jobs = list(range(num_shards))
-    else:
-        assert isinstance(source, TraceSource)
-        partitioned = None
-        buckets = split_trace(source.requests, fleet.shard_map)
-        jobs = [shard for shard in range(num_shards) if buckets[shard]]
+    sources = source.shard_sources(fleet.shard_map)
+    jobs = sorted(sources)
 
     worker_count = max(1, min(int(workers), max(1, len(jobs))))
     if worker_count > 1 and not fork_available():
@@ -352,20 +325,12 @@ def run_partitioned(
     if worker_count == 1:
         clock = host_clock
         started = clock() if clock is not None else 0.0
-        maybe = [
-            _run_shard(
-                engine,
-                shard,
-                buckets[shard] if buckets is not None else None,
-                partitioned,
-            )
-            for shard in jobs
-        ]
+        maybe = [_run_shard(engine, shard, sources[shard]) for shard in jobs]
         outcomes = [outcome for outcome in maybe if outcome is not None]
         worker_seconds = (clock() - started if clock is not None else 0.0,)
     else:
         groups = [jobs[worker::worker_count] for worker in range(worker_count)]
-        outcomes, worker_seconds = _run_forked(engine, groups, buckets, partitioned)
+        outcomes, worker_seconds = _run_forked(engine, groups, sources)
 
     outcomes.sort(key=lambda outcome: outcome.shard)
     offered_total = sum(outcome.offered for outcome in outcomes)

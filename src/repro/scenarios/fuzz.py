@@ -276,7 +276,7 @@ def draw_spec(rng: random.Random) -> ScenarioSpec:
 
     Small on purpose (a draw serves tens of requests, not thousands) and
     biased toward the configurations where the invariants bite:
-    interleaved multi-shard fleets, partitioned delivery, bounded queues,
+    interleaved multi-shard fleets, factory-backed delivery, bounded queues,
     deadlines and fidelity SLOs.  Every choice comes from ``rng``, so a
     campaign is one seed.
     """
@@ -328,7 +328,7 @@ def draw_spec(rng: random.Random) -> ScenarioSpec:
             **shared,
         )
     else:
-        delivery = rng.choice(["trace", "streaming", "partitioned"])
+        delivery = rng.choice(["trace", "streaming"])
         open_loop: dict[str, Any] = {
             "delivery": delivery,
             "num_tenants": num_tenants,

@@ -45,12 +45,7 @@ from repro.engine.core import (
     ServiceEngine,
     ServiceReport,
 )
-from repro.engine.partition import PartitionedTraceSource
-from repro.engine.workload import (
-    StreamingTraceSource,
-    TraceSource,
-    WorkloadSource,
-)
+from repro.engine.workload import TraceSource, WorkloadSource
 from repro.core.query import QueryRequest
 from repro.hardware.parameters import HardwareParameters
 from repro.metrics.service_stats import RejectedQuery, ServedQuery
@@ -89,11 +84,12 @@ WORKLOAD_KINDS = (
     "closed-loop", "replay",
 )
 
-#: How an open-loop trace reaches the engine.
-DELIVERIES = ("trace", "streaming", "partitioned")
+#: How an open-loop trace reaches the engine: materialized, or regenerated
+#: by a trace factory.
+DELIVERIES = ("trace", "streaming")
 
 #: Workload kinds whose generators accept a ``shards=`` partition filter
-#: (the contract ``delivery="partitioned"`` requires).
+#: (the contract a factory-backed ``delivery="streaming"`` relies on).
 _PARTITIONABLE_KINDS = frozenset(
     {"poisson", "bursty", "diurnal", "flash-crowd", "periodic"}
 )
@@ -387,12 +383,11 @@ class WorkloadSpec:
     ``"closed-loop"`` (think-time clients) and ``"replay"`` (requests
     reconstructed from a :class:`~repro.metrics.sinks.JsonlSink` file).
 
-    ``delivery`` picks the source type for open-loop kinds: ``"trace"``
-    (materialized :class:`~repro.engine.TraceSource`), ``"streaming"``
-    (O(1)-memory :class:`~repro.engine.StreamingTraceSource`) or
-    ``"partitioned"`` (a restartable
-    :class:`~repro.engine.partition.PartitionedTraceSource`, the form
-    parallel workers can regenerate per shard).
+    ``delivery`` picks how an open-loop kind's
+    :class:`~repro.engine.TraceSource` holds its trace: ``"trace"``
+    (materialized request list, readable on ``.requests``) or
+    ``"streaming"`` (a trace factory: O(1) memory, regenerated per run and
+    per shard by parallel workers).  Both serve identical reports.
     """
 
     kind: str
@@ -675,13 +670,7 @@ class WorkloadSpec:
             return TraceSource(self._replay_requests(fleet))
         if self.delivery == "trace":
             return TraceSource(list(self._iterator(fleet, None)))
-        if self.delivery == "streaming":
-            return StreamingTraceSource(self._iterator(fleet, None))
-        return PartitionedTraceSource(
-            lambda shards: self._iterator(
-                fleet, None if shards is None else tuple(shards)
-            )
-        )
+        return TraceSource(factory=lambda shards: self._iterator(fleet, shards))
 
     # -------------------------------------------------------- serialization
     def to_dict(self) -> dict[str, Any]:

@@ -216,8 +216,8 @@ class QRAMService:
 
         Args:
             source: open-loop trace (:class:`repro.engine.TraceSource`,
-                lazily via :class:`repro.engine.StreamingTraceSource`) or
-                closed-loop clients (:class:`repro.engine.ClosedLoopSource`).
+                materialized or from a lazy trace factory) or closed-loop
+                clients (:class:`repro.engine.ClosedLoopSource`).
             clops: hardware clock used for the queries-per-second numbers.
             max_queue_depth: bounded per-shard queues — arrivals that find
                 their queue full are rejected and accounted in

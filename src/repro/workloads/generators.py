@@ -250,7 +250,7 @@ def _iter_arrival_trace(
     tenants and random (shard-aligned) address superpositions.
 
     One request is materialized at a time: driven by a lazy ``times``
-    stream and a :class:`~repro.engine.workload.StreamingTraceSource`,
+    stream and a factory-backed :class:`~repro.engine.workload.TraceSource`,
     a trace of any length occupies O(1) memory.
 
     With ``shards`` the stream is restricted to the requests owned by
@@ -357,10 +357,9 @@ def iter_poisson_trace(
 
     The same RNG streams request for request
     (``list(iter_poisson_trace(...)) == poisson_trace(...)``, pinned by
-    test), but nothing is materialized: feed it to a
-    :class:`~repro.engine.workload.StreamingTraceSource` and a
-    million-query trace is generated, served and discarded one request at
-    a time.  ``shards`` restricts the stream to those shards' requests
+    test), but nothing is materialized: return it from the factory of a
+    :class:`~repro.engine.workload.TraceSource` and a million-query trace
+    is generated, served and discarded one request at a time.  ``shards`` restricts the stream to those shards' requests
     without perturbing them, and ``tenant_weights`` / ``shard_weights``
     skew the tenant/shard draws (see :func:`_iter_arrival_trace`).
     """

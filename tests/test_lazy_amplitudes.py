@@ -5,8 +5,9 @@ amplitudes, which draw on first read, and the shard maps route a matching
 one by the shard it carries without drawing.  These tests hold that
 shortcut to the eager path it replaces:
 
-* (a) every realized superposition, for every open-loop kind x delivery x
-  placement, equals the eager draw keyed by the query's global position;
+* (a) every realized superposition, for every open-loop kind x serving
+  mode x placement, equals the eager draw keyed by the query's global
+  position;
 * (b) timing-only reports digest identically to a forced-eager run (each
   request realized and routed through the validating path);
 * (c) functional outputs are unchanged;
@@ -24,7 +25,7 @@ import pytest
 
 import repro.workloads.generators as generators
 from repro.core.query import QueryRequest
-from repro.engine import TraceSource
+from repro.engine import ServiceEngine, TraceSource
 from repro.engine.pool import ForkWorkerPool, fork_available
 from repro.metrics.sinks import JsonlSink
 from repro.scenarios.spec import (
@@ -63,6 +64,17 @@ OPEN_LOOP = {
 }
 CLOSED_LOOP = dict(num_clients=3, queries_per_client=6, think_layers=4.0)
 
+#: How a trace reaches the engine, as ``(delivery, workers)``: each
+#: ``WorkloadSpec`` delivery served single-process, plus the factory-backed
+#: delivery regenerated per shard by the partitioned path (in-process, so
+#: the arrival spy sees every child engine).
+SERVINGS = {
+    "trace": ("trace", 0),
+    "streaming": ("streaming", 0),
+    "partitioned": ("streaming", 1),
+}
+assert {delivery for delivery, _ in SERVINGS.values()} == set(DELIVERIES)
+
 
 def _eager(capacity, num_shards, shard, num_addresses, seed):
     """The historical eager ``shard_aligned_superposition`` body."""
@@ -81,7 +93,7 @@ def _bits(amplitudes):
 
 def _spec(
     kind, placement="interleaved", delivery="trace", functional=False,
-    sanitize=False, **workload,
+    sanitize=False, workers=0, **workload,
 ):
     params = OPEN_LOOP.get(kind, CLOSED_LOOP)
     return ScenarioSpec(
@@ -101,21 +113,21 @@ def _spec(
             delivery=delivery,
             **{**params, **workload},
         ),
-        run=RunSpec(retention="full", workers=0, sanitize=sanitize),
+        run=RunSpec(retention="full", workers=workers, sanitize=sanitize),
     )
 
 
-def _run_spying(built):
-    """Run a built scenario, returning its report and every request the
-    engine saw arrive."""
+def _run_spying(monkeypatch, built):
+    """Run a built scenario, returning its report and every request its
+    engine (or an in-process partition's child engine) saw arrive."""
     seen = []
-    arrive = built.engine._on_arrival
+    arrive = ServiceEngine._on_arrival
 
-    def spy(now, request):
+    def spy(engine, now, request):
         seen.append(request)
-        arrive(now, request)
+        arrive(engine, now, request)
 
-    built.engine._on_arrival = spy
+    monkeypatch.setattr(ServiceEngine, "_on_arrival", spy)
     return built.run(), seen
 
 
@@ -129,11 +141,18 @@ def _forced_eager(monkeypatch, built):
 
 # ----------------------------------------------------------------------- (a)
 @pytest.mark.parametrize("placement", PLACEMENTS)
-@pytest.mark.parametrize("delivery", DELIVERIES)
+@pytest.mark.parametrize("serving", SERVINGS)
 @pytest.mark.parametrize("kind", sorted(OPEN_LOOP))
-def test_realized_superpositions_equal_the_eager_draw(kind, delivery, placement):
-    report, seen = _run_spying(_spec(kind, placement, delivery).build())
+def test_realized_superpositions_equal_the_eager_draw(
+    monkeypatch, kind, serving, placement
+):
+    delivery, workers = SERVINGS[serving]
+    report, seen = _run_spying(
+        monkeypatch, _spec(kind, placement, delivery, workers=workers).build()
+    )
     assert len(seen) == report.stats.offered_queries > 0
+    if workers and placement == "interleaved":
+        assert report.parallel.fallback_reason is None
     num_shards = 2 if placement == "interleaved" else 1
     shard_map = InterleavedShardMap(CAPACITY, num_shards)
     for request in seen:
@@ -203,12 +222,14 @@ def test_replay_digest_matches_forced_eager(monkeypatch, tmp_path):
     assert report_digest(lazy) == report_digest(built.run())
 
 
-def test_sanitizer_checks_the_routing_shortcut():
+def test_sanitizer_checks_the_routing_shortcut(monkeypatch):
     """Sanitized runs realize each lazy request and re-route it eagerly,
     and the report is the plain run's."""
     for kind in ("poisson", "closed-loop"):
         plain = _spec(kind).execute()
-        report, seen = _run_spying(_spec(kind, sanitize=True).build())
+        report, seen = _run_spying(
+            monkeypatch, _spec(kind, sanitize=True).build()
+        )
         assert report == plain
         assert all(r.address_amplitudes._values is not None for r in seen)
 

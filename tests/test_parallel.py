@@ -8,8 +8,9 @@ windows, same rejections, same stats, byte for byte.  Around that core:
 
 * every unpartitionable configuration falls back to the oracle with an
   observable ``fallback_reason`` (never silently);
-* :class:`PartitionedTraceSource` lets workers regenerate only their
-  partition of a lazy trace, under a strictly-increasing-id contract;
+* a factory-backed :class:`TraceSource` lets workers regenerate only
+  their partition of a lazy trace, under a strictly-increasing-id
+  contract, and a factory that ignores its shard filter is refused;
 * the process-wide :class:`ScheduleCacheRegistry` stays coherent across
   the serve/write/serve cycle (write invalidation, warm re-prewarm);
 * sanitizer mode extends across the worker boundary (per-partition
@@ -17,6 +18,8 @@ windows, same rejections, same stats, byte for byte.  Around that core:
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -26,9 +29,7 @@ from repro.engine import (
     AutoscalerConfig,
     ClosedLoopSource,
     ParallelRunInfo,
-    PartitionedTraceSource,
     ServiceEngine,
-    StreamingTraceSource,
     TraceSource,
     WORKERS_ENV,
     merge_sorted_records,
@@ -42,6 +43,7 @@ from repro.metrics.streaming import (
     StreamingServiceAggregator,
     merge_service_aggregators,
 )
+from repro.scenarios import FleetSpec, RunSpec, ScenarioSpec, WorkloadSpec
 from repro.schedule_cache import default_registry
 from repro.service import QRAMService
 from repro.workloads import (
@@ -189,9 +191,26 @@ def test_partitioned_trace_source_matches_materialized_trace():
     oracle = _serve(_service(), list(factory(None)), workers=0)
     for workers in (1, 2, 4):
         engine = ServiceEngine(_service(), workers=workers)
-        report = engine.run(PartitionedTraceSource(factory))
+        report = engine.run(TraceSource(factory=factory))
         assert report == oracle, f"workers={workers} diverged from oracle"
         assert report.parallel.fallback_reason is None
+
+
+def test_idle_shards_get_no_partition():
+    # Shards 0 and 2 own no request: only the busy shards are partitioned,
+    # for a materialized trace and a factory alike.
+    requests = [r for r in _trace() if r.address_amplitudes.shard % 2]
+
+    def factory(shards):
+        return iter(requests if shards is None else [
+            r for r in requests if r.address_amplitudes.shard in shards
+        ])
+
+    oracle = _serve(_service(), requests, workers=0)
+    for source in (TraceSource(requests), TraceSource(factory=factory)):
+        report = ServiceEngine(_service(), workers=4).run(source)
+        assert report == oracle
+        assert report.parallel.partitions == 2
 
 
 def test_error_messages_identical_across_worker_counts():
@@ -283,13 +302,6 @@ def test_env_workers_leaves_non_oracle_configs_alone(monkeypatch):
         (
             lambda: (
                 ServiceEngine(_service()),
-                StreamingTraceSource(iter(_trace())),
-            ),
-            "PartitionedTraceSource",
-        ),
-        (
-            lambda: (
-                ServiceEngine(_service()),
                 closed_loop_source(
                     CAPACITY,
                     num_clients=3,
@@ -307,7 +319,6 @@ def test_env_workers_leaves_non_oracle_configs_alone(monkeypatch):
         "sink",
         "single-shard",
         "random-policy",
-        "plain-streaming",
         "closed-loop",
     ],
 )
@@ -336,7 +347,38 @@ def test_autoscaled_run_still_serves_under_requested_workers():
     assert "any replica" in report.parallel.fallback_reason
 
 
-# ------------------------------------------------- partitioned trace source
+def test_streaming_delivery_partitions_bit_identical():
+    # delivery="streaming" is factory-backed, so workers engage for it and
+    # the merged report equals the single-process oracle under full
+    # retention.
+    spec = ScenarioSpec(
+        fleet=FleetSpec(
+            capacity=CAPACITY,
+            shards=("Fat-Tree",) * NUM_SHARDS,
+            functional=False,
+            data="random",
+            data_seed=3,
+        ),
+        workload=WorkloadSpec(
+            kind="poisson",
+            num_queries=60,
+            mean_interarrival=4.0,
+            addresses_per_query=1,
+            num_tenants=3,
+            seed=11,
+            delivery="streaming",
+        ),
+        run=RunSpec(retention="full", workers=0),
+    )
+    oracle = spec.execute()
+    report = replace(spec, run=replace(spec.run, workers=2)).execute()
+    assert report.parallel.fallback_reason is None
+    assert report.parallel.partitions == NUM_SHARDS
+    assert report == oracle
+    assert oracle.parallel is None
+
+
+# ------------------------------------------------ factory-backed trace source
 def test_partitioned_source_requires_increasing_ids():
     def factory(shards):
         yield QueryRequest(
@@ -346,9 +388,26 @@ def test_partitioned_source_requires_increasing_ids():
             query_id=3, address_amplitudes={1: 1.0}, request_time=1.0
         )
 
-    source = PartitionedTraceSource(factory)
     with pytest.raises(ValueError, match="strictly increasing"):
-        list(source.shard_requests((0,)))
+        ServiceEngine(_service(), workers=0).run(TraceSource(factory=factory))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_factory_ignoring_its_shard_filter_is_refused(workers):
+    # Every child engine would otherwise serve the whole trace: served ==
+    # offered == 2x the trace, silently, even under the sanitizer.
+    def unfiltered(shards):
+        return iter_poisson_trace(
+            CAPACITY, 40, 6.0, num_shards=2, seed=4, addresses_per_query=1
+        )
+
+    service = _service(num_shards=2)
+    assert ServiceEngine(service, workers=0).run(
+        TraceSource(factory=unfiltered)
+    ).stats.offered_queries == 40
+    engine = ServiceEngine(service, workers=workers, sanitize=True)
+    with pytest.raises(ValueError, match=r"factory called with shards="):
+        engine.run(TraceSource(factory=unfiltered))
 
 
 def test_partition_shards_round_robin_drops_empty_groups():

@@ -16,7 +16,7 @@ import pickle
 import pytest
 
 import repro.perf.profiler as profiler_module
-from repro.engine.workload import StreamingTraceSource
+from repro.engine.workload import TraceSource
 from repro.metrics.service_stats import ServedQuery, WindowRecord
 from repro.metrics.streaming import P2Quantile, _percentile
 from repro.perf import HotPathProfiler, StageProfile, env_profile
@@ -26,13 +26,15 @@ from repro.workloads.generators import iter_poisson_trace
 
 
 def _serve(profile=None, retention="full"):
-    trace = iter_poisson_trace(
-        8, 300, mean_interarrival=14.0, addresses_per_query=1,
-        num_tenants=4, num_shards=2, seed=5,
-    )
+    def trace(shards):
+        return iter_poisson_trace(
+            8, 300, mean_interarrival=14.0, addresses_per_query=1,
+            num_tenants=4, num_shards=2, seed=5, shards=shards,
+        )
+
     service = QRAMService(8, num_shards=2, functional=False)
     return service.serve_workload(
-        StreamingTraceSource(trace),
+        TraceSource(factory=trace),
         retention=retention,
         telemetry_interval=2000.0,
         profile=profile,
@@ -90,8 +92,8 @@ def test_engine_reusable_after_profiled_run():
             num_tenants=2, num_shards=2, seed=3,
         )
 
-    first = engine.run(StreamingTraceSource(trace()))
-    second = engine.run(StreamingTraceSource(trace()))
+    first = engine.run(TraceSource(trace()))
+    second = engine.run(TraceSource(trace()))
     assert first.profile.counts == second.profile.counts
     assert first.stats == second.stats
 

@@ -27,11 +27,9 @@ from repro import (
     AutoscalerConfig,
     QRAMService,
     ServiceEngine,
-    StreamingTraceSource,
     TraceSource,
     backend_names,
 )
-from repro.engine import PartitionedTraceSource
 from repro.hardware.parameters import TABLE3_PARAMETERS
 from repro.metrics.sinks import JsonlSink
 from repro.scenarios import (
@@ -440,7 +438,7 @@ def test_serving_parallel_bit_identity():
 
     service = QRAMService(16, num_shards=4, data=random_data(16, seed=3))
     lazy = ServiceEngine(service, workers=2, retention="none").run(
-        PartitionedTraceSource(factory)
+        TraceSource(factory=factory)
     )
     assert scenarios["lazy-partitioned"].execute() == lazy
 
@@ -452,13 +450,15 @@ def test_serving_parallel_bit_identity():
 
 def test_serving_scale_telemetry_bit_identity():
     spec = _example("serving_scale_telemetry").SCENARIOS["telemetry"]
-    trace = iter_poisson_trace(
-        16, 20_000, mean_interarrival=16.0, addresses_per_query=1,
-        num_tenants=4, num_shards=2, seed=5,
-    )
+    def trace(shards):
+        return iter_poisson_trace(
+            16, 20_000, mean_interarrival=16.0, addresses_per_query=1,
+            num_tenants=4, num_shards=2, seed=5, shards=shards,
+        )
+
     service = QRAMService(16, num_shards=2, functional=False)
     report = service.serve_workload(
-        StreamingTraceSource(trace), retention="none",
+        TraceSource(factory=trace), retention="none",
         telemetry_interval=10_000.0,
     )
     assert spec.execute() == report

@@ -10,7 +10,7 @@ Covers the observation-path refactor end to end:
   :class:`ServiceStats` byte for byte, ``"sampled"`` and ``"none"`` report
   exact counts and means from the streaming aggregator in bounded memory;
 * the periodic :class:`TelemetryTick` time series;
-* lazy traces and the :class:`StreamingTraceSource` equivalence;
+* lazy traces and the factory-backed :class:`TraceSource` equivalence;
 * the satellite fixes: request-time validation, reusable engines, memoized
   fidelity predictions.
 """
@@ -26,7 +26,6 @@ from repro.core.query import QueryRequest
 from repro.engine import (
     AutoscalerConfig,
     ServiceEngine,
-    StreamingTraceSource,
     TraceSource,
 )
 from repro.metrics.sinks import (
@@ -334,11 +333,14 @@ def test_retention_none_memory_is_bounded():
 
     def serve(num):
         svc = QRAMService(8, num_shards=2, functional=False)
-        trace = iter_poisson_trace(
-            8, num, mean_interarrival=14.0, addresses_per_query=1,
-            num_tenants=4, num_shards=2, seed=5,
-        )
-        return svc.serve_workload(StreamingTraceSource(trace), retention="none")
+
+        def trace(shards):
+            return iter_poisson_trace(
+                8, num, mean_interarrival=14.0, addresses_per_query=1,
+                num_tenants=4, num_shards=2, seed=5, shards=shards,
+            )
+
+        return svc.serve_workload(TraceSource(factory=trace), retention="none")
 
     serve(500)  # warm import-time and schedule caches
     peaks = []
@@ -410,7 +412,11 @@ def test_lazy_trace_generators_match_batch():
 
 def test_streaming_trace_source_matches_trace_source(service, trace):
     batch = service.serve_workload(TraceSource(trace))
-    stream = service.serve_workload(StreamingTraceSource(iter(trace)))
+    stream = service.serve_workload(TraceSource(
+        factory=lambda shards: iter_poisson_trace(
+            CAPACITY, **_poisson_kwargs(), shards=shards
+        )
+    ))
     assert stream.stats == batch.stats
     assert stream.served == batch.served
     assert stream.windows == batch.windows
@@ -422,12 +428,14 @@ def test_streaming_trace_source_requires_sorted_times(service):
         QueryRequest(query_id=1, address_amplitudes={1: 1.0}, request_time=5.0),
     ]
     with pytest.raises(ValueError, match="sorted"):
-        service.serve_workload(StreamingTraceSource(iter(out_of_order)))
+        service.serve_workload(
+            TraceSource(factory=lambda shards: iter(out_of_order))
+        )
 
 
 def test_streaming_trace_source_requires_requests(service):
     with pytest.raises(ValueError):
-        service.serve_workload(StreamingTraceSource(iter([])))
+        service.serve_workload(TraceSource(factory=lambda shards: iter([])))
 
 
 # ------------------------------------------------------------------ satellites
@@ -437,10 +445,14 @@ def test_negative_request_time_rejected(service):
     )
     with pytest.raises(ValueError, match="negative request_time"):
         service.serve([bad])
-    engine = ServiceEngine(service)
-    engine._reset(TraceSource([bad]))
-    with pytest.raises(ValueError, match="negative request_time"):
-        engine.submit(bad)
+    # A factory stream reports a negative time as such, not as unsorted,
+    # also after earlier (valid) arrivals.
+    late = [QueryRequest(query_id=1, address_amplitudes={0: 1.0}), bad]
+    for stream in ([bad], late):
+        with pytest.raises(ValueError, match="negative request_time"):
+            service.serve_workload(
+                TraceSource(factory=lambda shards, stream=stream: iter(stream))
+            )
 
 
 def test_engine_run_is_reusable(service, trace):

@@ -28,7 +28,7 @@ import pytest
 from oracles.noise_scalar import pipelined_fidelities_scalar
 from repro.backends.noise import pipelined_fidelities
 from repro.baselines.registry import build_backend
-from repro.engine.workload import StreamingTraceSource
+from repro.engine.workload import TraceSource
 from repro.schedule_cache import default_registry
 from repro.service.service import QRAMService
 from repro.workloads.generators import (
@@ -127,14 +127,16 @@ def test_end_to_end_serve_matches_scalar_oracle(monkeypatch):
     import repro.backends.analytic as analytic
     import repro.backends.noise as noise
 
-    def serve():
-        trace = iter_poisson_trace(
+    def trace(shards):
+        return iter_poisson_trace(
             8, 400, mean_interarrival=14.0, addresses_per_query=1,
-            num_tenants=4, num_shards=2, seed=5,
+            num_tenants=4, num_shards=2, seed=5, shards=shards,
         )
+
+    def serve():
         service = QRAMService(8, num_shards=2, functional=False)
         return service.serve_workload(
-            StreamingTraceSource(trace), retention="full"
+            TraceSource(factory=trace), retention="full"
         )
 
     default_registry().clear()
