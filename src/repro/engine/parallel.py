@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.engine.events import SanitizerViolation, merge_sorted_records
-from repro.engine.partition import ParallelRunInfo
+from repro.engine.partition import ParallelRunInfo, partition_shards
 from repro.engine.pool import ForkWorkerPool, fork_available
 from repro.engine.workload import TraceSource, WorkloadSource
 from repro.metrics.service_stats import RejectedQuery, ServedQuery, WindowRecord
@@ -147,6 +147,9 @@ def _run_shard(
     if not child._offered:
         return None
     retained = engine.retention != "none"
+    if child._aggregator is not None:
+        # Ship folded accumulators, not a part-filled record chunk.
+        child._aggregator.flush()
     return _ShardOutcome(
         shard=shard,
         offered=child._offered,
@@ -329,7 +332,10 @@ def run_partitioned(
         outcomes = [outcome for outcome in maybe if outcome is not None]
         worker_seconds = (clock() - started if clock is not None else 0.0,)
     else:
-        groups = [jobs[worker::worker_count] for worker in range(worker_count)]
+        groups = [
+            [jobs[index] for index in group]
+            for group in partition_shards(len(jobs), worker_count)
+        ]
         outcomes, worker_seconds = _run_forked(engine, groups, sources)
 
     outcomes.sort(key=lambda outcome: outcome.shard)

@@ -1,10 +1,10 @@
-"""Serving statistics, aggregated one record at a time.
+"""Serving statistics, aggregated one record at a time, folded in chunks.
 
 Every :class:`~repro.metrics.service_stats.ServiceStats` is computed here.
-Under ``retention="sampled"`` / ``"none"`` the engine folds each
+Under ``retention="sampled"`` / ``"none"`` the engine hands each
 :class:`~repro.metrics.service_stats.ServedQuery`,
 :class:`~repro.metrics.service_stats.WindowRecord` and
-:class:`~repro.metrics.service_stats.RejectedQuery` into a
+:class:`~repro.metrics.service_stats.RejectedQuery` to a
 :class:`StreamingServiceAggregator` the moment it is produced; under
 ``retention="full"`` it aggregates nothing online and
 :func:`summarize_service` folds the retained, canonical-order record lists
@@ -15,9 +15,16 @@ how the aggregator was built:
 * ``exact=True`` (used only by :func:`summarize_service`) retains the
   latencies and reports exact order statistics;
 * ``exact=False`` (the engine's online aggregator) keeps P² sketches, so
-  memory is O(tenants + shards + backends), never O(requests): a
-  million-query run aggregates through the same few kilobytes as a
-  hundred-query run.
+  memory is O(chunk + tenants + shards + backends), never O(requests): a
+  million-query run aggregates through the same fixed-size buffer and
+  sketches as a thousand-query run.
+
+Served records are buffered as derived scalars and folded
+:data:`_FOLD_CHUNK_SIZE` at a time, one ``extend`` loop per accumulator.
+Fold order — record order within every sketch and every group — is what
+keeps the output bit-identical to a record-by-record fold, whatever the
+chunk boundaries: each ``extend`` performs exactly the float operations,
+in exactly the order, of one ``add`` per value.
 
 Building blocks:
 
@@ -42,6 +49,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.metrics.service_stats import (
     REJECT_DEADLINE_EXPIRED,
@@ -91,12 +99,30 @@ class StreamingStat:
         self.maximum: float | None = None
 
     def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
+        self.extend((value,))
+
+    def extend(self, values: Sequence[float]) -> None:
+        """Fold ``values`` in order: the same additions and comparisons,
+        in the same order, as one :meth:`add` per value."""
+        if not values:
+            return
+        self.count += len(values)
+        # An explicit loop, never sum(): sum() compensates float rounding
+        # on Python >= 3.12, which would change the total's last bits.
+        total = self.total
+        low = self.minimum
+        high = self.maximum
+        if low is None or high is None:
+            low = high = values[0]
+        for value in values:
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        self.total = total
+        self.minimum = low
+        self.maximum = high
 
     @property
     def mean(self) -> float:
@@ -124,6 +150,34 @@ class StreamingStat:
             self.maximum = other.maximum
 
 
+def _p2_step(
+    delta: float,
+    low: float,
+    height: float,
+    high: float,
+    n_low: float,
+    n: float,
+    n_high: float,
+) -> tuple[float, float]:
+    """Move one interior P² marker a unit step toward its desired position.
+
+    Returns the marker's new height — the piecewise-parabolic (P²)
+    prediction, or the linear one when the parabola would leave the
+    neighbouring heights ``(low, high)`` — and its new position.
+    """
+    step = 1.0 if delta > 0 else -1.0
+    candidate = height + step / (n_high - n_low) * (
+        (n - n_low + step) * (high - height) / (n_high - n)
+        + (n_high - n - step) * (height - low) / (n - n_low)
+    )
+    if not low < candidate < high:
+        if step > 0:
+            candidate = height + step * (high - height) / (n_high - n)
+        else:
+            candidate = height + step * (low - height) / (n_low - n)
+    return candidate, n + step
+
+
 class P2Quantile:
     """One running quantile via the P² algorithm — five markers, no samples.
 
@@ -131,7 +185,10 @@ class P2Quantile:
     target quantile, the quantile's half-way neighbours and the maximum,
     adjusting them with a piecewise-parabolic update as observations
     stream past.  Below five observations the buffered values give the
-    exact (linearly interpolated) percentile.
+    exact (linearly interpolated) percentile.  :meth:`extend` is the one
+    update path (:meth:`add` folds a single value through it); the
+    estimate depends on the order of the values but not on how they are
+    split into ``extend`` calls.
     """
 
     __slots__ = (
@@ -160,81 +217,88 @@ class P2Quantile:
         return self._count
 
     def add(self, value: float) -> None:
-        # Branches and loops are unrolled and attributes bound once: four
-        # sketches fold every served record (global p50/p95/p99 + tenant
-        # p95), making this the single hottest method of streaming
-        # retention.  Float operations and their order are unchanged.
-        count = self._count + 1
-        self._count = count
+        self.extend((value,))
+
+    def extend(self, values: Sequence[float]) -> None:
+        """Fold ``values`` in order — the estimator's one update path.
+
+        The five marker heights ``h0..h4``, positions ``n0..n4`` and
+        desired positions ``d1..d4`` live in locals for the whole chunk
+        and are stored back once; only an actual marker move calls out
+        (:func:`_p2_step`).  Every float operation and its order match the
+        textbook update applied one value at a time, so any chunking of a
+        series leaves the sketch bit-identical.
+        """
         heights = self._heights
-        if count <= 5:
-            heights.append(value)
+        count = self._count
+        start = 0
+        # Below five observations the buffered values are the series.
+        while count < 5 and start < len(values):
+            heights.append(values[start])
             heights.sort()
+            count += 1
+            start += 1
             if count == 5:
                 self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
                 self._desired = [
                     1.0 + 4.0 * inc for inc in self._increments
                 ]
+        self._count = count + len(values) - start
+        if start == len(values):
             return
 
-        # Locate the cell the observation falls into, stretching the
-        # extreme markers when it lands outside the current range.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        elif value < heights[1]:
-            cell = 0
-        elif value < heights[2]:
-            cell = 1
-        elif value < heights[3]:
-            cell = 2
-        else:
-            cell = 3
-        positions = self._positions
-        if cell == 0:
-            positions[1] += 1.0
-            positions[2] += 1.0
-        elif cell == 1:
-            positions[2] += 1.0
-        if cell <= 2:
-            positions[3] += 1.0
-        positions[4] += 1.0
-        desired = self._desired
-        increments = self._increments
-        # increments[0] is always 0.0 (and desired[0] stays 1.0), so the
-        # first slot's no-op update is skipped.
-        desired[1] += increments[1]
-        desired[2] += increments[2]
-        desired[3] += increments[3]
-        desired[4] += increments[4]
+        h0, h1, h2, h3, h4 = heights
+        n0, n1, n2, n3, n4 = self._positions
+        d0, d1, d2, d3, d4 = self._desired
+        # increments[0] is always 0.0 (and d0 stays 1.0), so the first
+        # slot's no-op update is skipped.
+        _, i1, i2, i3, i4 = self._increments
+        for value in values[start:] if start else values:
+            # Locate the cell the observation falls into, stretching the
+            # extreme markers when it lands outside the current range, and
+            # shift the positions of the markers above it.
+            if value < h0:
+                h0 = value
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif value >= h4:
+                h4 = value
+            elif value < h1:
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif value < h2:
+                n2 += 1.0
+                n3 += 1.0
+            elif value < h3:
+                n3 += 1.0
+            n4 += 1.0
+            d1 += i1
+            d2 += i2
+            d3 += i3
+            d4 += i4
 
-        # Nudge the three interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            delta = desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
+            # Nudge the three interior markers, in order, toward their
+            # desired positions.
+            delta = d1 - n1
+            if (delta >= 1.0 and n2 - n1 > 1.0) or (
+                delta <= -1.0 and n0 - n1 < -1.0
             ):
-                step = 1.0 if delta > 0 else -1.0
-                candidate = self._parabolic(i, step)
-                if not heights[i - 1] < candidate < heights[i + 1]:
-                    candidate = self._linear(i, step)
-                heights[i] = candidate
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
+                h1, n1 = _p2_step(delta, h0, h1, h2, n0, n1, n2)
+            delta = d2 - n2
+            if (delta >= 1.0 and n3 - n2 > 1.0) or (
+                delta <= -1.0 and n1 - n2 < -1.0
+            ):
+                h2, n2 = _p2_step(delta, h1, h2, h3, n1, n2, n3)
+            delta = d3 - n3
+            if (delta >= 1.0 and n4 - n3 > 1.0) or (
+                delta <= -1.0 and n2 - n3 < -1.0
+            ):
+                h3, n3 = _p2_step(delta, h2, h3, h4, n2, n3, n4)
+        self._heights = [h0, h1, h2, h3, h4]
+        self._positions = [n0, n1, n2, n3, n4]
+        self._desired = [d0, d1, d2, d3, d4]
 
     @property
     def value(self) -> float:
@@ -257,9 +321,12 @@ class LatencySketch:
         self._p99 = P2Quantile(0.99)
 
     def add(self, value: float) -> None:
-        self._p50.add(value)
-        self._p95.add(value)
-        self._p99.add(value)
+        self.extend((value,))
+
+    def extend(self, values: Sequence[float]) -> None:
+        self._p50.extend(values)
+        self._p95.extend(values)
+        self._p99.extend(values)
 
     @property
     def p50(self) -> float:
@@ -276,11 +343,11 @@ class LatencySketch:
 
 class _ExactQuantile:
     """One exact running quantile: duck-types :class:`P2Quantile`'s
-    ``add`` / ``value``.
+    ``extend`` / ``value``.
 
     Retains every observation and reports the linearly interpolated order
     statistic (:func:`_percentile`), so an exact aggregator folds records
-    through the same ``add`` calls as a sketched one.
+    through the same ``extend`` calls as a sketched one.
     """
 
     __slots__ = ("quantile", "values")
@@ -289,8 +356,8 @@ class _ExactQuantile:
         self.quantile = quantile
         self.values: list[float] = []
 
-    def add(self, value: float) -> None:
-        self.values.append(value)
+    def extend(self, values: Sequence[float]) -> None:
+        self.values.extend(values)
 
     @property
     def value(self) -> float:
@@ -306,8 +373,8 @@ class _ExactSketch:
     def __init__(self) -> None:
         self.values: list[float] = []
 
-    def add(self, value: float) -> None:
-        self.values.append(value)
+    def extend(self, values: Sequence[float]) -> None:
+        self.values.extend(values)
 
     @property
     def p50(self) -> float:
@@ -364,6 +431,43 @@ class IntervalStats:
     mean_fidelity: float | None
 
 
+#: Served records buffered per aggregator before they are folded into the
+#: group statistics and sketches.  Folding a chunk runs one tight loop per
+#: accumulator instead of ~16 method calls per record.  256, 512 and 1024
+#: fold a 30k-record run equally fast (within run-to-run noise), so the
+#: smallest keeps the buffer — the aggregator's one size-bounded,
+#: record-proportional state — smallest.
+_FOLD_CHUNK_SIZE = 256
+
+#: One buffered served record: latency, queue delay, fidelity, missed
+#: deadline, missed SLO (``None`` when the query had none), tenant, shard,
+#: architecture.
+_Row = tuple[
+    float, float, "float | None", "bool | None", "bool | None", int, int, str
+]
+#: A run of rows transposed into one tuple per field.
+_Columns = tuple[tuple[Any, ...], ...]
+
+
+def _by_key(
+    rows: list[_Row], columns: _Columns, field: int
+) -> dict[Any, _Columns]:
+    """Split a chunk's columns by the key in ``field``, keeping row order
+    within each key (first-seen key order)."""
+    keys = columns[field]
+    first = keys[0]
+    if keys.count(first) == len(keys):
+        return {first: columns}
+    buckets: dict[Any, list[_Row]] = {}
+    for key, row in zip(keys, rows):
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [row]
+        else:
+            bucket.append(row)
+    return {key: tuple(zip(*bucket)) for key, bucket in buckets.items()}
+
+
 @dataclass(slots=True)
 class _GroupAggregate:
     """Shared accumulator behind the tenant / shard / backend views."""
@@ -386,36 +490,28 @@ class _GroupAggregate:
     shed: int = 0
     fidelity_rejected: int = 0
 
-    def _observe_values(
-        self,
-        latency_layers: float,
-        queue_delay_layers: float,
-        fidelity: float | None,
-        has_deadline: bool,
-        missed_deadline: bool,
-        has_slo: bool,
-        missed_slo: bool,
-    ) -> None:
-        """Fold one served query's derived values into the accumulators.
+    def fold(self, columns: _Columns) -> None:
+        """Fold a run of served queries' derived values, in record order.
 
-        The aggregator computes the :class:`ServedQuery` property values
-        once per record and feeds the same scalars to every group view
-        (global / tenant / shard / backend) — four views per record make
-        the recomputation the hottest line of streaming retention.
+        ``columns`` holds one tuple per :data:`_Row` field (see
+        :meth:`StreamingServiceAggregator.observe_served`); a missed
+        deadline / SLO is ``None`` for a query without one.
         """
-        self.queries += 1
-        self.latency.add(latency_layers)
-        self.queue_delay.add(queue_delay_layers)
-        if fidelity is not None:
-            self.fidelity.add(fidelity)
-        if has_deadline:
-            self.deadline_demand += 1
-            if missed_deadline:
-                self.deadline_misses += 1
-        if has_slo:
-            self.slo_demand += 1
-            if missed_slo:
-                self.slo_misses += 1
+        latencies, queue_delays, fidelities, missed_deadlines, missed_slos = (
+            columns[:5]
+        )
+        queries = len(latencies)
+        self.queries += queries
+        self.latency.extend(latencies)
+        self.queue_delay.extend(queue_delays)
+        if fidelities.count(None) != queries:
+            self.fidelity.extend(
+                [fidelity for fidelity in fidelities if fidelity is not None]
+            )
+        self.deadline_demand += queries - missed_deadlines.count(None)
+        self.deadline_misses += missed_deadlines.count(True)
+        self.slo_demand += queries - missed_slos.count(None)
+        self.slo_misses += missed_slos.count(True)
 
     def observe_window(self, record: WindowRecord) -> None:
         self.windows += 1
@@ -534,13 +630,20 @@ class StreamingServiceAggregator:
     :func:`summarize_service` feed every :class:`ServedQuery`,
     :class:`WindowRecord` and :class:`RejectedQuery` through
     :meth:`observe_served` / :meth:`observe_window` /
-    :meth:`observe_rejected`; :meth:`to_stats` materializes a :class:`ServiceStats` whose counts,
-    sums, means, extrema and rates are exact.  The latency percentiles
-    (global p50/p95/p99 and per-tenant p95) are exact order statistics
-    with ``exact=True``, which retains one latency per served record
-    (twice: globally and per tenant), and P² estimates otherwise, in
-    memory O(tenants + shards + backends) independent of the number of
-    records observed.
+    :meth:`observe_rejected`; :meth:`to_stats` materializes a
+    :class:`ServiceStats` whose counts, sums, means, extrema and rates are
+    exact.  The latency percentiles (global p50/p95/p99 and per-tenant
+    p95) are exact order statistics with ``exact=True``, which retains one
+    latency per served record (twice: globally and per tenant), and P²
+    estimates otherwise, in memory O(chunk + tenants + shards + backends)
+    independent of the number of records observed.
+
+    Windows and rejections are counted on arrival; served records are
+    buffered and folded :data:`_FOLD_CHUNK_SIZE` at a time (:meth:`flush`),
+    in record order, so the statistics are bit-identical to folding each
+    record on its own.  The accumulators are only complete after a
+    flush, which :meth:`to_stats` and :func:`merge_service_aggregators`
+    perform themselves.
     """
 
     def __init__(self, exact: bool = False) -> None:
@@ -556,6 +659,7 @@ class StreamingServiceAggregator:
         self._tenant_sketches: dict[int, P2Quantile | _ExactQuantile] = {}
         self._shards: dict[int, _GroupAggregate] = {}
         self._backends: dict[str, _GroupAggregate] = {}
+        self._chunk: list[_Row] = []
 
     # ------------------------------------------------------------- observers
     def _tenant(self, tenant: int) -> _GroupAggregate:
@@ -570,53 +674,68 @@ class StreamingServiceAggregator:
         finish = record.finish_layer
         if finish > self.makespan_layers:
             self.makespan_layers = finish
-        # Derive the record's property values once and share them across
-        # the four group views — recomputing them per view was the hottest
-        # line of streaming retention (see the engine's `sketch_update`
-        # profile stage).
+        # Derive the record's property values once, for all four group
+        # views, and buffer them; :meth:`flush` folds them a chunk at a
+        # time.
         request_time = record.request_time
-        latency = finish - request_time
-        queue_delay = record.admit_layer - request_time
-        fidelity = record.fidelity
         deadline = record.deadline
-        has_deadline = deadline is not None
-        missed_deadline = has_deadline and finish > deadline
         min_fidelity = record.min_fidelity
-        has_slo = min_fidelity is not None
-        if has_slo:
+        fidelity = record.fidelity
+        if min_fidelity is None:
+            missed_slo = None
+        else:
             achieved = record.predicted_fidelity
             if achieved is None:
                 achieved = fidelity
             missed_slo = achieved is not None and achieved < min_fidelity
-        else:
-            missed_slo = False
-        tenant = record.tenant
-        tenant_group = self._tenants.get(tenant)
-        if tenant_group is None:
-            tenant_group = self._tenant(tenant)
-        shard = self._shards.get(record.shard)
-        if shard is None:
-            shard = self._shards[record.shard] = _GroupAggregate()
-        if not shard.architecture:
-            shard.architecture = record.architecture
-        backend = self._backends.get(record.architecture)
-        if backend is None:
-            backend = self._backends[record.architecture] = _GroupAggregate()
-            backend.shard_ids.add(record.shard)
-        elif record.shard not in backend.shard_ids:
-            backend.shard_ids.add(record.shard)
-        for group in (self._global, tenant_group, shard, backend):
-            group._observe_values(
-                latency,
-                queue_delay,
+        chunk = self._chunk
+        chunk.append(
+            (
+                finish - request_time,
+                record.admit_layer - request_time,
                 fidelity,
-                has_deadline,
-                missed_deadline,
-                has_slo,
+                None if deadline is None else finish > deadline,
                 missed_slo,
+                record.tenant,
+                record.shard,
+                record.architecture,
             )
-        self._latency_sketch.add(latency)
-        self._tenant_sketches[tenant].add(latency)
+        )
+        if len(chunk) >= _FOLD_CHUNK_SIZE:
+            self.flush()
+
+    def flush(self) -> None:
+        """Fold the buffered served records into every view.
+
+        Each accumulator folds its values with one ``extend`` in record
+        order, so the result is bit-identical to folding record by record
+        whatever the chunk boundaries.  :meth:`to_stats` and
+        :func:`merge_service_aggregators` flush first; call it before
+        reading the accumulators directly or shipping the aggregator.
+        """
+        rows = self._chunk
+        if not rows:
+            return
+        self._chunk = []
+        columns = tuple(zip(*rows))
+        self._global.fold(columns)
+        self._latency_sketch.extend(columns[0])
+        for tenant, part in _by_key(rows, columns, 5).items():
+            self._tenant(tenant).fold(part)
+            self._tenant_sketches[tenant].extend(part[0])
+        for shard_id, part in _by_key(rows, columns, 6).items():
+            shard = self._shards.get(shard_id)
+            if shard is None:
+                shard = self._shards[shard_id] = _GroupAggregate()
+            if not shard.architecture:
+                shard.architecture = part[7][0]
+            shard.fold(part)
+        for architecture, part in _by_key(rows, columns, 7).items():
+            backend = self._backends.get(architecture)
+            if backend is None:
+                backend = self._backends[architecture] = _GroupAggregate()
+            backend.shard_ids.update(part[6])
+            backend.fold(part)
 
     def observe_window(self, record: WindowRecord) -> None:
         # `.get` instead of `.setdefault`: the default argument would
@@ -659,6 +778,7 @@ class StreamingServiceAggregator:
         """
         if not self.served_count:
             raise ValueError("at least one served query is required")
+        self.flush()
         depths = max_queue_depth or {}
         makespan = self.makespan_layers
         seconds = makespan / clops if makespan > 0 else float("inf")
@@ -803,6 +923,7 @@ def merge_service_aggregators(
     p99_reps: list[tuple[float, float]] = []
     tenant_reps: dict[int, list[tuple[float, float]]] = {}
     for part in parts:
+        part.flush()
         merged.served_count += part.served_count
         merged.rejected_count += part.rejected_count
         merged.shed_count += part.shed_count

@@ -37,6 +37,7 @@ from repro.engine import (
     partition_unsupported_reason,
 )
 from repro.engine.events import SanitizerViolation
+from repro.engine.pool import fork_available
 from repro.metrics.service_stats import ServedQuery
 from repro.metrics.sinks import ListSink
 from repro.metrics.streaming import (
@@ -158,6 +159,45 @@ def test_streaming_retention_worker_count_invariant():
     assert reports[0] == reports[1]
     assert reports[0].telemetry, "telemetry intervals must survive the merge"
     assert reports[0].stats.total_queries == len(requests)
+
+
+def test_streaming_retention_partial_fold_chunks_worker_count_invariant():
+    # ~375 served records per shard: every child aggregator ships after
+    # at least one full fold chunk and with a partly filled one.
+    requests = _trace(num_queries=1500, mean_interarrival=8.0)
+    one, two = (
+        _serve(
+            _service(functional=False),
+            requests,
+            workers=workers,
+            retention="none",
+        )
+        for workers in (1, 2)
+    )
+    assert one == two
+    assert one.stats.total_queries == len(requests)
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+def test_forked_groups_follow_partition_shards_with_idle_shards(monkeypatch):
+    # Shard 0 owns no request, so the busy shards [1, 2, 3] are the jobs;
+    # the worker groups are partition_shards' assignment of those jobs.
+    requests = [r for r in _trace() if r.address_amplitudes.shard]
+    seen_groups = []
+    original = parallel._run_forked
+
+    def recording(engine, groups, sources):
+        seen_groups.append(groups)
+        return original(engine, groups, sources)
+
+    monkeypatch.setattr(parallel, "_run_forked", recording)
+    report = _serve(_service(), requests, workers=2)
+    jobs = [1, 2, 3]
+    assert seen_groups == [
+        [[jobs[index] for index in group] for group in partition_shards(3, 2)]
+    ]
+    assert seen_groups == [[[1, 3], [2]]]
+    assert report == _serve(_service(), requests, workers=0)
 
 
 def test_sampled_retention_worker_count_invariant():

@@ -6,7 +6,9 @@ stage-time table on the report without perturbing a single simulated
 value — the engine wraps its stage methods but never changes them.  These
 tests pin that contract, the profiler/StageProfile mechanics, and the
 bit-exactness of the allocation trims the profile motivated (fast record
-construction, the interleaved route fast path, the unrolled P² update).
+construction, the interleaved route fast path, the unrolled P² update)
+and of the streaming aggregator's chunked folds: any chunking of a series
+leaves every sketch, statistic and summary bit-identical.
 """
 
 from __future__ import annotations
@@ -17,8 +19,22 @@ import pytest
 
 import repro.perf.profiler as profiler_module
 from repro.engine.workload import TraceSource
-from repro.metrics.service_stats import ServedQuery, WindowRecord
-from repro.metrics.streaming import P2Quantile, _percentile
+import repro.metrics.streaming as streaming_module
+from repro.metrics.service_stats import (
+    REJECT_DEADLINE_EXPIRED,
+    REJECT_FIDELITY,
+    REJECT_QUEUE_FULL,
+    RejectedQuery,
+    ServedQuery,
+    WindowRecord,
+)
+from repro.metrics.streaming import (
+    P2Quantile,
+    StreamingServiceAggregator,
+    StreamingStat,
+    _percentile,
+    merge_service_aggregators,
+)
 from repro.perf import HotPathProfiler, StageProfile, env_profile
 from repro.service.service import QRAMService
 from repro.service.sharding import InterleavedShardMap
@@ -271,3 +287,232 @@ def test_p2_unrolled_update_bitwise_parity(quantile):
         d.hex() for d in reference._desired
     ]
     assert optimized.value.hex() == reference.value.hex()
+
+
+# --------------------------------------------------------------------------
+# Chunked folds: any chunking of a series folds bit-identically
+# --------------------------------------------------------------------------
+def _random_chunks(rng, values):
+    """Cut ``values`` into consecutive chunks of 1-17 values."""
+    chunks = []
+    start = 0
+    while start < len(values):
+        size = int(rng.integers(1, 18))
+        chunks.append(values[start:start + size])
+        start += size
+    return chunks
+
+
+def _p2_state(sketch):
+    return (
+        sketch._count,
+        [h.hex() for h in sketch._heights],
+        [n.hex() for n in sketch._positions],
+        [d.hex() for d in sketch._desired],
+        sketch.value.hex(),
+    )
+
+
+def _p2_series(rng, quantile, size=3000):
+    """Values that tie with the current marker heights, stretch the range
+    below its minimum and above its maximum, and repeat small integers.
+
+    Plateaus of repeated values (the first 300, and every 1000th run of
+    100) give markers equal heights, which sends the update down its
+    linear fallback in both directions."""
+    generator = _ReferenceP2(quantile)
+    values = []
+    for index in range(size):
+        heights = generator._heights
+        if index < 300:
+            value = float(rng.integers(0, 3))
+        elif index % 1000 < 100:
+            value = heights[(index // 1000) % 5]
+        elif index >= 5 and index % 7 == 3:
+            value = heights[index % 5]  # exactly a marker height
+        elif index >= 5 and index % 13 == 0:
+            value = heights[0] - float(rng.integers(1, 4))  # new minimum
+        elif index >= 5 and index % 17 == 0:
+            value = heights[4] + float(rng.integers(1, 4))  # new maximum
+        elif index % 3 == 0:
+            value = float(rng.integers(0, 6))  # repeated small integers
+        else:
+            value = float(rng.exponential(25.0))
+        generator.add(value)
+        values.append(value)
+    return values
+
+
+@pytest.mark.parametrize("split_seed", [0, 1, 2])
+@pytest.mark.parametrize("quantile", [0.5, 0.95, 0.99])
+def test_p2_extend_matches_reference_over_random_chunks(quantile, split_seed):
+    import numpy as np
+
+    values = _p2_series(np.random.default_rng(7), quantile)
+    rng = np.random.default_rng(split_seed)
+    # The first chunk straddles the five-observation boundary.
+    head = int(rng.integers(2, 5))
+    chunks = [values[:head], values[head:head + 6]] + _random_chunks(
+        rng, values[head + 6:]
+    )
+    sketch = P2Quantile(quantile)
+    reference = _ReferenceP2(quantile)
+    for chunk in chunks:
+        sketch.extend(tuple(chunk))
+        for value in chunk:
+            reference.add(value)
+        assert _p2_state(sketch) == _p2_state(reference)
+    assert sketch.count == len(values)
+
+
+def _reference_stat(values):
+    """The per-value fold a StreamingStat performed before chunking."""
+    count, total, low, high = 0, 0.0, None, None
+    for value in values:
+        count += 1
+        total += value
+        if low is None or value < low:
+            low = value
+        if high is None or value > high:
+            high = value
+    return count, total, low, high
+
+
+def _stat_state(count, total, low, high):
+    return count, total.hex(), low.hex(), high.hex()
+
+
+@pytest.mark.parametrize("split_seed", [0, 1, 2])
+def test_streaming_stat_extend_matches_repeated_add(split_seed):
+    import numpy as np
+
+    rng = np.random.default_rng(split_seed)
+    # Signed zeros tie under < / >: the first one seen must be kept.
+    values = [0.0, -0.0] + rng.normal(0.0, 1e6, size=2000).tolist()
+    values += [-0.0, 0.0, 1e-300, -1e300, 1e300]
+    chunked = StreamingStat()
+    added = StreamingStat()
+    for chunk in _random_chunks(rng, values):
+        chunked.extend(tuple(chunk))
+        for value in chunk:
+            added.add(value)
+    expected = _stat_state(*_reference_stat(values))
+    for stat in (chunked, added):
+        assert _stat_state(
+            stat.count, stat.total, stat.minimum, stat.maximum
+        ) == expected
+    empty = StreamingStat()
+    empty.extend(())
+    assert empty.count == 0 and empty.minimum is None
+
+
+def _mixed_records(seed, served_count=700):
+    """A served / window / rejected record stream over three shards, two
+    architectures and four tenants, with deadlines, fidelity SLOs and
+    missing fidelities."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    architectures = ("Fat-Tree", "BB", "Fat-Tree")
+    reasons = (REJECT_QUEUE_FULL, REJECT_DEADLINE_EXPIRED, REJECT_FIDELITY)
+    records = []
+    for query_id in range(served_count):
+        shard = int(rng.integers(0, 3))
+        tenant = int(rng.integers(0, 4))
+        request = float(rng.uniform(0.0, 5000.0))
+        admit = request + float(rng.exponential(10.0))
+        finish = admit + float(rng.exponential(30.0))
+        if rng.random() < 0.3:
+            records.append((
+                "window",
+                WindowRecord(
+                    shard=shard,
+                    admit_layer=admit,
+                    batch_size=int(rng.integers(1, 5)),
+                    interval=4.0,
+                    total_layers=float(rng.exponential(40.0)),
+                    architecture=architectures[shard],
+                ),
+            ))
+        if rng.random() < 0.1:
+            records.append((
+                "rejected",
+                RejectedQuery(
+                    query_id=-query_id - 1,
+                    tenant=tenant,
+                    shard=shard,
+                    time=request,
+                    reason=reasons[int(rng.integers(0, 3))],
+                ),
+            ))
+        records.append((
+            "served",
+            ServedQuery(
+                query_id=query_id,
+                tenant=tenant,
+                shard=shard,
+                request_time=request,
+                admit_layer=admit,
+                start_layer=admit,
+                finish_layer=finish,
+                fidelity=(
+                    None if rng.random() < 0.3 else float(rng.uniform(0.9, 1.0))
+                ),
+                architecture=architectures[shard],
+                deadline=(
+                    None if rng.random() < 0.5
+                    else request + float(rng.exponential(40.0))
+                ),
+                predicted_fidelity=(
+                    None if rng.random() < 0.5 else float(rng.uniform(0.9, 1.0))
+                ),
+                min_fidelity=None if rng.random() < 0.5 else 0.95,
+            ),
+        ))
+    return records
+
+
+def _aggregate(records, exact=False):
+    aggregator = StreamingServiceAggregator(exact=exact)
+    for kind, record in records:
+        getattr(aggregator, f"observe_{kind}")(record)
+    return aggregator
+
+
+_DEPTHS = {0: 3, 1: 5, 2: 1}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_aggregator_fold_chunk_size_leaves_stats_identical(monkeypatch, exact):
+    records = _mixed_records(seed=4)
+    reprs = []
+    for size in (1, 3, streaming_module._FOLD_CHUNK_SIZE):
+        monkeypatch.setattr(streaming_module, "_FOLD_CHUNK_SIZE", size)
+        stats = _aggregate(records, exact=exact).to_stats(_DEPTHS)
+        reprs.append(repr(stats))
+    assert reprs[0] == reprs[1] == reprs[2]
+    stats = _aggregate(records).to_stats(_DEPTHS)
+    assert stats.shed_queries and stats.fidelity_rejected_queries
+    assert stats.deadline_misses and stats.fidelity_slo_misses
+    assert set(stats.per_backend) == {"BB", "Fat-Tree"}
+
+
+def test_merge_of_partly_filled_chunks_equals_merge_of_flushed_parts():
+    records = _mixed_records(seed=5)
+    parts = [_aggregate(records[:301]), _aggregate(records[301:])]
+    flushed = pickle.loads(pickle.dumps(parts))
+    for part in parts:
+        assert 0 < len(part._chunk) < streaming_module._FOLD_CHUNK_SIZE
+    for part in flushed:
+        part.flush()
+        assert not part._chunk
+    assert repr(merge_service_aggregators(parts).to_stats(_DEPTHS)) == repr(
+        merge_service_aggregators(flushed).to_stats(_DEPTHS)
+    )
+
+
+def test_aggregator_with_partly_filled_chunk_survives_pickle():
+    aggregator = _aggregate(_mixed_records(seed=6))
+    assert 0 < len(aggregator._chunk) < streaming_module._FOLD_CHUNK_SIZE
+    shipped = pickle.loads(pickle.dumps(aggregator))
+    assert repr(shipped.to_stats(_DEPTHS)) == repr(aggregator.to_stats(_DEPTHS))
